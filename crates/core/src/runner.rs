@@ -160,6 +160,18 @@ pub struct Experiment {
     pub engine: EngineMode,
 }
 
+/// The deterministic packed byte stream every simulated message of
+/// `count` × `dt` carries: the send buffer holds the pattern
+/// `(i * 31) % 251` over its whole span and is packed by `dt`.
+pub fn packed_message(dt: &Datatype, count: u32) -> Vec<u8> {
+    let _phase = nca_sim::profile::enter(nca_sim::profile::Phase::Alloc);
+    let (origin, span) = buffer_span(dt, count);
+    let src: Vec<u8> = (0..span as usize)
+        .map(|i| (i.wrapping_mul(31) % 251) as u8)
+        .collect();
+    pack(dt, count, &src, origin).expect("packable")
+}
+
 impl Experiment {
     /// Sensible defaults (in order, ε = 0.2, verification on).
     pub fn new(dt: Datatype, count: u32, params: NicParams) -> Self {
@@ -179,14 +191,10 @@ impl Experiment {
         }
     }
 
-    /// Packed message bytes for this experiment (deterministic pattern).
+    /// Packed message bytes for this experiment (deterministic pattern,
+    /// see [`packed_message`]).
     pub fn packed_message(&self) -> Vec<u8> {
-        let _phase = nca_sim::profile::enter(nca_sim::profile::Phase::Alloc);
-        let (origin, span) = buffer_span(&self.dt, self.count);
-        let src: Vec<u8> = (0..span as usize)
-            .map(|i| (i.wrapping_mul(31) % 251) as u8)
-            .collect();
-        pack(&self.dt, self.count, &src, origin).expect("packable")
+        packed_message(&self.dt, self.count)
     }
 
     /// Average contiguous regions per packet (the paper's γ).

@@ -192,6 +192,16 @@ impl Default for ReliabilityParams {
     }
 }
 
+impl ReliabilityParams {
+    /// Backed-off timeout before retry `attempt`: `rto << min(attempt,
+    /// backoff_cap)`, capped absolutely at `max(rto_max, rto)`. Both the
+    /// NIC's retransmission timer and the traffic engine's admission
+    /// retry wait this long (plus their seeded jitter).
+    pub fn backoff(&self, attempt: u32) -> Time {
+        (self.rto << attempt.min(self.backoff_cap)).min(self.rto_max.max(self.rto))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -205,6 +215,31 @@ mod tests {
         assert!(r.fallback_latency > r.rto);
         assert!(r.rto_max >= r.rto, "cap must not undercut the base RTO");
         assert!(r.rto_jitter < r.rto, "jitter must stay a perturbation");
+    }
+
+    #[test]
+    fn backoff_doubles_up_to_the_cap_then_holds() {
+        let r = ReliabilityParams {
+            rto: 1000,
+            backoff_cap: 3,
+            rto_max: 1_000_000,
+            ..ReliabilityParams::default()
+        };
+        assert_eq!(r.backoff(0), 1000);
+        assert_eq!(r.backoff(2), 4000);
+        // At the cap and past it the shift stops growing.
+        assert_eq!(r.backoff(3), 8000);
+        assert_eq!(r.backoff(4), 8000);
+        assert_eq!(r.backoff(40), 8000);
+        // The absolute ceiling applies after the shift ...
+        let capped = ReliabilityParams { rto_max: 5000, ..r };
+        assert_eq!(capped.backoff(2), 4000);
+        assert_eq!(capped.backoff(3), 5000);
+        assert_eq!(capped.backoff(9), 5000);
+        // ... and a ceiling below the base RTO is treated as the RTO.
+        let low = ReliabilityParams { rto_max: 10, ..r };
+        assert_eq!(low.backoff(0), 1000);
+        assert_eq!(low.backoff(5), 1000);
     }
 
     #[test]
