@@ -8,7 +8,10 @@
 //! the simulated receive buffer — while their simulated runtime comes
 //! from the strategy's cost model (see `nca-core`).
 //!
-//! Entry point: [`nic::ReceiveSim::run`]. Sender-side strategies
+//! The receive pipeline exists once, in [`pipeline`]; three front ends
+//! feed it: [`nic::ReceiveSim::run`] (one message),
+//! [`multi::run_concurrent`] (a static set of concurrent messages) and
+//! the `nca-traffic` engine (open-loop tenants). Sender-side strategies
 //! (streaming puts, outbound sPIN) are modelled in [`outbound`].
 
 pub mod builtin;
@@ -18,6 +21,7 @@ pub mod nic;
 pub mod nicmem;
 pub mod outbound;
 pub mod params;
+pub mod pipeline;
 pub mod sched;
 pub mod sender;
 
@@ -26,4 +30,5 @@ pub use multi::{run_concurrent, run_concurrent_traced, MessageReport, MessageSpe
 pub use nic::{MsgPath, PortalsSetup, ReceiveSim, RunConfig, RunReport};
 pub use nicmem::NicMemory;
 pub use params::NicParams;
+pub use pipeline::{FrontEnd, Nic};
 pub use sched::{Dispatch, QueueDiscipline, Scheduler};

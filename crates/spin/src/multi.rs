@@ -1,27 +1,27 @@
-//! Concurrent multi-message receive simulation.
+//! The concurrent-message front end of the receive pipeline.
 //!
-//! The single-message pipeline ([`crate::nic::ReceiveSim`]) answers the
+//! The single-message front end ([`crate::nic::ReceiveSim`]) answers the
 //! paper's microbenchmark questions; a real NIC, however, serves many
 //! in-flight messages whose packets interleave on the link and whose
 //! handlers compete for the same HPUs, NIC memory and DMA engine. This
-//! module simulates that: each message carries its own
-//! [`MessageProcessor`], matching is per-header, vHPUs are namespaced
-//! per message, and the completion of each message is signalled by its
-//! own event-generating DMA write.
+//! front end feeds a static message set into the shared NIC core
+//! ([`crate::pipeline`]): each message carries its own
+//! [`MessageProcessor`], vHPUs are namespaced per message, dFCFS steers
+//! by a hash of `(message, vHPU)`, and the completion of each message is
+//! signalled by its own event-generating DMA write.
 //!
 //! Link model: messages become eligible at their `start_time`; the
 //! shared ingress link serializes packets of all eligible messages
 //! round-robin at line rate (an idealized fair switch).
 
-use std::collections::HashMap;
-
-use nca_portals::packet::{packetize_wire, Packet};
-use nca_sim::{Sim, Time, TrackedFifo, WireBuf};
+use nca_portals::packet::packetize_wire;
+use nca_sim::{PooledBuf, Sim, Time, WireBuf};
 use nca_telemetry::Telemetry;
 
-use crate::handler::{DmaWrite, HandlerCost, MessageProcessor, PacketCtx};
+use crate::handler::{HandlerCost, MessageProcessor};
+use crate::nic::EngineMode;
 use crate::params::NicParams;
-use crate::sched::Scheduler;
+use crate::pipeline::{FrontEnd, Msg, Nic};
 
 /// One message to receive.
 pub struct MessageSpec {
@@ -61,19 +61,6 @@ impl MessageReport {
     }
 }
 
-struct MsgState {
-    packets: Vec<Packet>,
-    packed: WireBuf,
-    proc: Box<dyn MessageProcessor>,
-    host_buf: Vec<u8>,
-    host_origin: i64,
-    pending_payload: u64,
-    completion_dispatched: bool,
-    t_first_byte: Time,
-    t_complete: Option<Time>,
-    handler_costs: Vec<HandlerCost>,
-}
-
 /// Mix the message index into a well-spread dFCFS steering hint.
 /// (splitmix64 finalizer; identity for blocked-RR/cFCFS which ignore
 /// the hint.)
@@ -84,156 +71,13 @@ fn steer_hint(m: usize, vhpu: u64) -> usize {
     (z ^ (z >> 31)) as usize
 }
 
-struct MultiWorld {
-    params: NicParams,
-    msgs: Vec<MsgState>,
-    sched: Scheduler<(usize, u64)>,
-    dma_queue: TrackedFifo<(usize, DmaWrite)>,
-    dma_chan_busy: Vec<bool>,
-    tel: Telemetry,
-    /// (msg, pkt idx) → vHPU-queue entry time (only when traced).
-    enq_time: HashMap<(usize, usize), Time>,
-}
+/// The concurrent front end: the whole set is admitted up front and the
+/// link schedule is fixed before the run, so only steering is left.
+struct Concurrent;
 
-impl MultiWorld {
-    fn packet_arrival(&mut self, sim: &mut Sim<MultiWorld>, m: usize, idx: usize) {
-        let len = self.msgs[m].packets[idx].len;
-        self.tel
-            .counter("spin", "packets_arrived", m as u64, sim.now(), 1);
-        let inbound = self.params.nic_passthrough + self.params.nicmem_copy_time(len);
-        self.tel
-            .span("spin", "inbound", m as u64, sim.now(), sim.now() + inbound);
-        sim.schedule_in(inbound, move |w, s| w.her_ready(s, m, idx));
-    }
-
-    fn her_ready(&mut self, sim: &mut Sim<MultiWorld>, m: usize, idx: usize) {
-        let seq = self.msgs[m].packets[idx].seq;
-        let vhpu = self.msgs[m].proc.policy().vhpu_of(seq);
-        if self.tel.is_enabled() {
-            self.enq_time.insert((m, idx), sim.now());
-        }
-        self.sched.enqueue((m, vhpu), idx, steer_hint(m, vhpu));
-        self.try_dispatch(sim);
-    }
-
-    fn try_dispatch(&mut self, sim: &mut Sim<MultiWorld>) {
-        while let Some(d) = self.sched.next_dispatch() {
-            let (key, idx, hpu) = (d.key, d.pkt, d.hpu);
-            let dispatch = self.params.sched_dispatch;
-            let now = sim.now();
-            if let Some(enq) = self.enq_time.remove(&(key.0, idx)) {
-                if now > enq {
-                    self.tel.span("spin", "queue_wait", key.1, enq, now);
-                }
-            }
-            self.tel.span("spin", "sched", key.1, now, now + dispatch);
-            sim.schedule_in(dispatch, move |w, s| w.run_handler(s, key, idx, hpu));
-        }
-    }
-
-    fn run_handler(
-        &mut self,
-        sim: &mut Sim<MultiWorld>,
-        key: (usize, u64),
-        idx: usize,
-        hpu: usize,
-    ) {
-        let (m, vhpu) = key;
-        let st = &mut self.msgs[m];
-        let hdr = st.packets[idx].hdr;
-        let mut ctx = PacketCtx {
-            payload: &st.packets[idx].payload,
-            stream_offset: hdr.offset,
-            seq: hdr.seq,
-            npkt: st.packets.len() as u64,
-            vhpu,
-            now: sim.now(),
-            direct: None,
-        };
-        let out = st.proc.on_payload(&mut ctx);
-        st.handler_costs.push(out.cost);
-        let runtime = out.cost.total();
-        self.tel
-            .span("spin", "handler", vhpu, sim.now(), sim.now() + runtime);
-        sim.schedule_in(runtime, move |w, s| w.handler_done(s, key, hpu, out.dma));
-    }
-
-    fn handler_done(
-        &mut self,
-        sim: &mut Sim<MultiWorld>,
-        key: (usize, u64),
-        hpu: usize,
-        dma: Vec<DmaWrite>,
-    ) {
-        let (m, _) = key;
-        for w in dma {
-            self.enqueue_dma(sim, m, w);
-        }
-        self.sched.done(key, hpu);
-        self.msgs[m].pending_payload -= 1;
-        if self.msgs[m].pending_payload == 0 && !self.msgs[m].completion_dispatched {
-            self.msgs[m].completion_dispatched = true;
-            let dispatch = self.params.sched_dispatch;
-            sim.schedule_in(dispatch, move |w, s| {
-                let out = w.msgs[m].proc.on_completion();
-                let runtime = out.cost.total();
-                s.schedule_in(runtime, move |w2, s2| {
-                    for wr in out.dma {
-                        w2.enqueue_dma(s2, m, wr);
-                    }
-                });
-            });
-        }
-        self.try_dispatch(sim);
-    }
-
-    fn enqueue_dma(&mut self, sim: &mut Sim<MultiWorld>, m: usize, w: DmaWrite) {
-        self.dma_queue.push(sim.now(), (m, w));
-        self.kick_dma(sim);
-    }
-
-    fn kick_dma(&mut self, sim: &mut Sim<MultiWorld>) {
-        while let Some(chan) = self.dma_chan_busy.iter().position(|&b| !b) {
-            if let Some((_, front)) = self.dma_queue.front() {
-                // Event writes must not overtake in-flight data writes.
-                if front.event && self.dma_chan_busy.iter().any(|&b| b) {
-                    return;
-                }
-            }
-            let Some((m, w)) = self.dma_queue.pop(sim.now()) else {
-                return;
-            };
-            self.dma_chan_busy[chan] = true;
-            let service = self.params.dma_service_time(w.len);
-            let landing = self.params.pcie_latency;
-            self.tel.span(
-                "spin",
-                "dma_chan",
-                chan as u64,
-                sim.now(),
-                sim.now() + service,
-            );
-            sim.schedule_in(service, move |world, s| {
-                world.dma_chan_busy[chan] = false;
-                s.schedule_in(landing, move |w2, s2| {
-                    let t = s2.now();
-                    w2.dma_landed(t, m, &w);
-                });
-                world.kick_dma(s);
-            });
-        }
-    }
-
-    fn dma_landed(&mut self, t: Time, m: usize, w: &DmaWrite) {
-        let st = &mut self.msgs[m];
-        if !w.data.is_empty() {
-            let start = (w.host_off - st.host_origin) as usize;
-            st.host_buf[start..start + w.data.len()].copy_from_slice(&w.data);
-        }
-        if w.event {
-            st.t_complete = Some(t);
-            self.tel.instant("spin", "message_complete", m as u64, t);
-        }
+impl FrontEnd for Concurrent {
+    fn steer(&self, m: usize, vhpu: u64) -> usize {
+        steer_hint(m, vhpu)
     }
 }
 
@@ -241,11 +85,10 @@ impl MultiWorld {
 /// share the ingress at line rate. Returns `(arrival_time, msg, pkt)`.
 fn schedule_arrivals(
     params: &NicParams,
-    msgs: &[MsgState],
+    msgs: &[Msg],
     starts: &[Time],
 ) -> Vec<(Time, usize, usize)> {
     let mut cursors: Vec<usize> = vec![0; msgs.len()];
-    // (eligible_time, msg) priority: earliest start first, round-robin on ties.
     let mut link_free: Time = 0;
     let mut out = Vec::new();
     let total: usize = msgs.iter().map(|m| m.packets.len()).sum();
@@ -255,23 +98,13 @@ fn schedule_arrivals(
         // (max(link_free, start)), round-robin among ties so concurrent
         // messages interleave fairly and the link never idles while an
         // eligible message has packets.
-        let mut pick: Option<(usize, Time)> = None;
-        for k in 0..msgs.len() {
-            let m = (rr + k) % msgs.len();
-            if cursors[m] >= msgs[m].packets.len() {
-                continue;
-            }
-            let ready = link_free.max(starts[m]);
-            match pick {
-                None => pick = Some((m, ready)),
-                Some((_, best)) if ready < best => pick = Some((m, ready)),
-                _ => {}
-            }
-        }
-        let (m, _) = pick.expect("total counted");
-        let pkt = &msgs[m].packets[cursors[m]];
-        let begin = link_free.max(starts[m]);
-        let end = begin + params.pkt_wire_time(pkt.len);
+        let (m, begin) = (0..msgs.len())
+            .map(|k| (rr + k) % msgs.len())
+            .filter(|&m| cursors[m] < msgs[m].packets.len())
+            .map(|m| (m, link_free.max(starts[m])))
+            .min_by_key(|&(_, ready)| ready)
+            .expect("total counted");
+        let end = begin + params.pkt_wire_time(msgs[m].packets[cursors[m]].len);
         link_free = end;
         out.push((end + params.net_latency, m, cursors[m]));
         cursors[m] += 1;
@@ -288,66 +121,50 @@ pub fn run_concurrent(specs: Vec<MessageSpec>, params: &NicParams) -> Vec<Messag
 /// [`run_concurrent`] with a trace sink: emits the same event families
 /// as the single-message pipeline (wire/inbound spans on per-message
 /// tracks, queue-wait/dispatch/handler spans on vHPU tracks, DMA busy
-/// intervals on per-channel tracks, completion instants).
+/// intervals on per-channel tracks, completion instants). Tracing
+/// selects the event-driven DMA engine ([`EngineMode::Auto`]); results
+/// are identical either way.
 pub fn run_concurrent_traced(
     specs: Vec<MessageSpec>,
     params: &NicParams,
     tel: Telemetry,
 ) -> Vec<MessageReport> {
+    let eager = EngineMode::Auto.is_eager(tel.is_enabled());
+    let mut nic = Nic::new(params.clone(), tel, eager, false, Concurrent);
     let mut starts = Vec::with_capacity(specs.len());
-    let mut msgs: Vec<MsgState> = Vec::with_capacity(specs.len());
     for (i, spec) in specs.into_iter().enumerate() {
         let packets = packetize_wire(i as u64, &spec.packed, params.payload_size);
+        let host_buf = PooledBuf::from_vec(vec![0; spec.host_span as usize]);
+        nic.admit(packets, spec.proc, host_buf, spec.host_origin);
         starts.push(spec.start_time);
-        msgs.push(MsgState {
-            pending_payload: packets.len() as u64,
-            packets,
-            packed: spec.packed,
-            proc: spec.proc,
-            host_buf: vec![0u8; spec.host_span as usize],
-            host_origin: spec.host_origin,
-            completion_dispatched: false,
-            t_first_byte: 0,
-            t_complete: None,
-            handler_costs: Vec::new(),
-        });
     }
-    let arrivals = schedule_arrivals(params, &msgs, &starts);
-    for &(t, m, pkt) in &arrivals {
-        if pkt == 0 {
-            msgs[m].t_first_byte = t - params.pkt_wire_time(msgs[m].packets[0].len);
-        }
-        // Wire serialization span: the arrival time is one network
-        // latency after the packet left the shared link.
-        if tel.is_enabled() {
-            let end = t - params.net_latency;
-            let wire = params.pkt_wire_time(msgs[m].packets[pkt].len);
-            tel.span("spin", "wire", m as u64, end.saturating_sub(wire), end);
-        }
-    }
-    let mut world = MultiWorld {
-        params: params.clone(),
-        msgs,
-        sched: Scheduler::new(params.discipline, params.hpus),
-        dma_queue: TrackedFifo::new(false),
-        dma_chan_busy: vec![false; params.dma_channels.max(1)],
-        tel,
-        enq_time: HashMap::new(),
-    };
-    let mut sim: Sim<MultiWorld> = Sim::new();
+    let arrivals = schedule_arrivals(params, &nic.msgs, &starts);
+    let mut t_first_byte = vec![0; nic.msgs.len()];
+    let mut sim: Sim<Nic<Concurrent>> = Sim::new();
     for (t, m, pkt) in arrivals {
-        sim.schedule(t, move |w, s| w.packet_arrival(s, m, pkt));
+        // Wire serialization: the arrival is one network latency after
+        // the packet left the shared link.
+        let wire = params.pkt_wire_time(nic.msgs[m].packets[pkt].len);
+        let end = t - params.net_latency;
+        if pkt == 0 {
+            t_first_byte[m] = t - wire;
+        }
+        nic.tel
+            .span("spin", "wire", m as u64, end.saturating_sub(wire), end);
+        Nic::schedule_arrival(&mut sim, t, m, pkt);
     }
-    sim.run(&mut world);
-    world
-        .msgs
+    sim.run(&mut nic);
+    let t_end = nic.msgs.iter().filter_map(|st| st.t_complete).max();
+    nic.emit_histograms(t_end.unwrap_or(0));
+    nic.msgs
         .into_iter()
-        .map(|st| MessageReport {
+        .zip(t_first_byte)
+        .map(|(st, t_first_byte)| MessageReport {
             strategy: st.proc.name(),
-            msg_bytes: st.packed.len() as u64,
-            t_first_byte: st.t_first_byte,
+            msg_bytes: st.packets.iter().map(|p| p.len).sum(),
+            t_first_byte,
             t_complete: st.t_complete.unwrap_or(0),
-            host_buf: st.host_buf,
+            host_buf: st.host_buf.into_vec(),
             handler_costs: st.handler_costs,
         })
         .collect()

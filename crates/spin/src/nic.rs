@@ -1,10 +1,12 @@
-//! The event-driven sPIN NIC receive pipeline.
+//! The single-message front end of the sPIN receive pipeline.
 //!
-//! [`ReceiveSim`] drives one message through the full model:
+//! [`ReceiveSim`] drives one message through the shared NIC core
+//! ([`crate::pipeline`]):
 //!
 //! ```text
-//! network (serialization + latency, optional reordering)
-//!   → inbound engine (parse, matching on the header packet,
+//! network (serialization + latency, optional reordering, optional
+//!   fault layer with checksums, acks and RTO retransmission)
+//!   → inbound engine (parse, Portals matching on the header packet,
 //!     payload copy into NIC memory)
 //!   → scheduler (vHPU assignment per policy, dispatch to idle HPUs)
 //!   → handler execution (the strategy: real byte scatter + modelled cost)
@@ -13,25 +15,28 @@
 //!   → host memory (actual bytes land in the receive buffer)
 //! ```
 //!
+//! This front end owns the wire schedule, the reliable-delivery protocol
+//! and the Portals data-path decision (sPIN, non-processing RDMA
+//! landing, unexpected overflow, discard); the core owns everything
+//! from the inbound engine to the host.
+//!
 //! The *message processing time* reported is the paper's definition:
 //! from the first byte of the message arriving at the NIC to the last
 //! byte landing in the receive buffer (signalled by the completion
 //! handler's event-generating zero-byte DMA).
 
-use std::collections::{HashMap, VecDeque};
-
 use nca_portals::event::{EventKind, EventQueue, FullEvent};
 use nca_portals::matching::{MatchOutcome, MatchingUnit};
-use nca_portals::packet::{packetize_wire, stamp_checksums, Packet};
-use nca_sim::{DeliveredCopy, FaultInjector, FaultSpec, Sim, Time, TrackedFifo, WireBuf};
-use nca_telemetry::{hist::LogHistogram, probe::SimTelemetryProbe, Telemetry};
+use nca_portals::packet::{packetize_wire, stamp_checksums};
+use nca_sim::{DeliveredCopy, FaultInjector, FaultSpec, Sim, Time, WireBuf};
+use nca_telemetry::{probe::SimTelemetryProbe, Telemetry};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-use crate::handler::{DirectDst, DmaWrite, HandlerCost, MessageProcessor, PacketCtx};
+use crate::handler::{DmaWrite, HandlerCost, MessageProcessor};
 use crate::params::{NicParams, ReliabilityParams};
-use crate::sched::Scheduler;
+use crate::pipeline::{FrontEnd, Nic};
 
 /// Portals 4 state for a matched receive: the posted lists plus the
 /// match bits the incoming message carries.
@@ -57,7 +62,7 @@ pub enum MsgPath {
     Discarded,
 }
 
-/// Which DMA/handler engine a run uses (PR 8's eager batched-DMA mode
+/// Which DMA/handler engine a run uses (the eager batched-DMA mode
 /// vs the fully event-driven engine).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EngineMode {
@@ -95,6 +100,17 @@ impl EngineMode {
             "event" => Some(EngineMode::Event),
             "eager" => Some(EngineMode::Eager),
             _ => None,
+        }
+    }
+
+    /// Whether a run takes the eager engine, given whether anything
+    /// needs per-event DMA timing (telemetry capture or a DMA-history
+    /// series). The concurrent and traffic front ends run
+    /// [`EngineMode::Auto`].
+    pub fn is_eager(self, needs_events: bool) -> bool {
+        match self {
+            EngineMode::Event => false,
+            EngineMode::Auto | EngineMode::Eager => !needs_events,
         }
     }
 }
@@ -176,6 +192,7 @@ pub struct ReliabilityStats {
 }
 
 /// Sender-side retransmission state for one packet.
+#[derive(Clone, Default)]
 struct TxState {
     acked: bool,
     attempt: u32,
@@ -273,107 +290,99 @@ impl RunReport {
     }
 }
 
-struct DmaEngine {
-    queue: TrackedFifo<DmaWrite>,
-    /// Per-channel busy flags (index = channel, i.e. the trace track).
-    chan_busy: Vec<bool>,
-    /// The write each busy channel is currently servicing. Parking the
-    /// write here (instead of capturing it in a closure) lets the
-    /// service-done event be a plain allocation-free function call.
-    chan_slot: Vec<Option<DmaWrite>>,
-    /// Batched mode: with telemetry off and no occupancy time series
-    /// requested, the multi-channel FIFO service discipline is computed
-    /// algebraically at enqueue time — service start is `max(now, earliest
-    /// channel availability)` (all channels for the ordered completion
-    /// write) — and the bytes land immediately, so the engine emits no
-    /// simulator events at all. Timing is exact: landing time is service
-    /// completion plus the constant PCIe latency either way.
-    eager: bool,
-    /// Eager mode: per-channel service-completion times.
-    free_at: Vec<Time>,
-    /// Eager mode: service-start (= queue-leave) times not yet folded
-    /// into the occupancy model. Service starts are provably
-    /// nondecreasing (arrivals are FIFO at nondecreasing times and the
-    /// earliest-free-channel bound never moves backwards), so a deque
-    /// suffices — no heap.
-    starts: VecDeque<Time>,
-    /// Eager mode: modelled queue occupancy and its high-water mark
-    /// (`dma_max_queue` must match the event-driven engine).
-    occ: usize,
-    max_occ: usize,
-    writes: u64,
-    bytes: u64,
-}
-
-impl DmaEngine {
-    fn busy_count(&self) -> usize {
-        self.chan_busy.iter().filter(|&&b| b).count()
-    }
-
-    fn free_channel(&self) -> Option<usize> {
-        self.chan_busy.iter().position(|&b| !b)
-    }
-}
-
-/// Parked `handler_done` arguments: `(vhpu, packet index, hpu, writes)`.
-type DoneArgs = (u64, usize, usize, Vec<DmaWrite>);
-
-struct World {
-    params: NicParams,
-    packets: Vec<Packet>,
-    packed: WireBuf,
-    proc: Box<dyn MessageProcessor>,
-    sched: Scheduler<u64>,
-    dma: DmaEngine,
-    host_buf: nca_sim::PooledBuf,
-    host_origin: i64,
-    pending_payload: u64,
-    completion_dispatched: bool,
-    t_complete: Option<Time>,
-    handler_costs: Vec<HandlerCost>,
+/// The single-message front end: one message, optionally reordered on
+/// the wire, optionally through the fault layer with reliable delivery,
+/// optionally through Portals matching.
+struct Single {
     matching: Option<MatchingUnit>,
     match_bits: u64,
     path: MsgPath,
-    events: EventQueue,
     arrived: u64,
-    tel: Telemetry,
-    /// Packet idx → time it entered its vHPU queue (flight-recorder
-    /// bookkeeping; only populated when telemetry is enabled).
-    enq_time: HashMap<usize, Time>,
-    /// Parked arguments of in-flight `handler_done` events: the slot
-    /// index rides in the event's scalar payload, so the per-packet
-    /// completion event needs no boxed closure. Slots are recycled
-    /// through a free list.
-    done_slots: Vec<Option<DoneArgs>>,
-    done_free: Vec<u32>,
-    /// Latency distributions accumulated over the run and emitted as
-    /// single `Hist` events at the end (they survive ring eviction).
-    hist_handler: LogHistogram,
-    hist_queue_wait: LogHistogram,
-    hist_dma: LogHistogram,
-    /// The strategy's static NIC-memory footprint.
-    nic_mem: u64,
-    /// Payload bytes currently resident in NIC memory (landed by the
-    /// inbound engine, not yet consumed by a handler).
-    resident_payload: u64,
-    /// Peak of `resident_payload` over the run.
-    resident_hwm: u64,
+    msg_bytes: u64,
+    events: EventQueue,
     /// Reliable-delivery state; `None` on a lossless network.
     rel: Option<RelState>,
 }
 
-impl World {
+impl FrontEnd for Single {
+    /// No flow table: vHPUs map straight onto physical HPUs.
+    fn steer(&self, _m: usize, vhpu: u64) -> usize {
+        vhpu as usize
+    }
+
+    /// The header packet triggers the Portals matching walk and fixes
+    /// the message's data path (the pinned ME serves the rest); only
+    /// the sPIN path continues into the inbound engine.
+    fn divert(nic: &mut Nic<Single>, sim: &mut Sim<Nic<Single>>, m: usize, idx: usize) -> bool {
+        let hdr = nic.msgs[m].packets[idx].hdr;
+        let fe = &mut nic.fe;
+        fe.arrived += 1;
+        if let Some(mu) = fe.matching.as_mut() {
+            if hdr.kind.is_header() {
+                let (outcome, me) = mu.match_header(hdr.msg_id, fe.match_bits);
+                fe.path = match (outcome, me.and_then(|m| m.exec_ctx)) {
+                    (MatchOutcome::Priority, Some(_)) => MsgPath::Spin,
+                    (MatchOutcome::Priority, None) => MsgPath::NonProcessing,
+                    (MatchOutcome::Overflow, _) => MsgPath::Unexpected,
+                    (MatchOutcome::Discard, _) => MsgPath::Discarded,
+                };
+            }
+            if hdr.kind.is_completion() {
+                mu.complete(hdr.msg_id);
+            }
+        }
+        let last = fe.arrived == nic.msgs[m].packets.len() as u64;
+        let passthrough = nic.params.nic_passthrough;
+        match fe.path {
+            MsgPath::Spin => return false,
+            MsgPath::NonProcessing | MsgPath::Unexpected => {
+                // RDMA landing: one contiguous DMA write per packet at its
+                // stream offset; no HPU involvement. The write reuses the
+                // packet's payload view — no bytes are copied.
+                let kind = match fe.path {
+                    MsgPath::Unexpected => EventKind::PutOverflow,
+                    _ => EventKind::Put,
+                };
+                sim.schedule_in(passthrough, move |w, s| {
+                    let payload = w.msgs[m].packets[idx].payload.clone();
+                    let host_off = w.msgs[m].host_origin + hdr.offset as i64;
+                    w.enqueue_dma(s, m, DmaWrite::data(host_off, payload));
+                    if last {
+                        w.fe.events.post(FullEvent {
+                            kind,
+                            msg_id: hdr.msg_id,
+                            size: w.fe.msg_bytes,
+                            time: s.now(),
+                        });
+                        w.enqueue_dma(s, m, DmaWrite::completion_signal());
+                    }
+                });
+            }
+            MsgPath::Discarded => {
+                // Dropped: no data movement, no events. The run ends when
+                // the last packet has been parsed.
+                if last {
+                    nic.msgs[m].t_complete = Some(sim.now() + passthrough);
+                }
+            }
+        }
+        true
+    }
+}
+
+impl Nic<Single> {
     /// One wire transmission attempt of packet `idx` with nominal
     /// arrival time `arrival` (serialization already accounted). The
     /// fault injector renders the deterministic verdict; every delivered
     /// copy becomes an arrival event and a retransmission timer guards
     /// the attempt.
-    fn transmit(&mut self, sim: &mut Sim<World>, idx: usize, attempt: u32, arrival: Time) {
-        let (msg_id, seq) = (self.packets[idx].msg_id, self.packets[idx].seq);
-        let rel = self.rel.as_mut().expect("transmit requires fault mode");
+    fn transmit(&mut self, sim: &mut Sim<Nic<Single>>, idx: usize, attempt: u32, arrival: Time) {
+        let hdr = self.msgs[0].packets[idx].hdr;
+        let (msg_id, seq) = (hdr.msg_id, hdr.seq);
+        let now = sim.now();
+        let rel = self.fe.rel.as_mut().expect("transmit requires fault mode");
         rel.stats.transmissions += 1;
         let verdict = rel.injector.judge(msg_id, seq, attempt);
-        let now = sim.now();
         if verdict.dropped {
             rel.stats.drops_injected += 1;
             self.tel.counter("spin", "fault_drop", 0, now, 1);
@@ -386,31 +395,29 @@ impl World {
             rel.stats.corrupts_injected += 1;
             self.tel.counter("spin", "fault_corrupt", 0, now, 1);
         }
-        let rel = self.rel.as_ref().expect("fault mode");
         for copy in verdict.copies {
             sim.schedule(arrival + copy.extra_delay, move |w, s| {
                 w.packet_rx(s, idx, Some(copy));
             });
         }
-        // Exponential backoff, capped absolutely at rto_max, with a
-        // seeded uniform jitter so the timers of a correlated drop
-        // burst spread out instead of firing in lockstep (retransmit
-        // storms under open-loop overload). The jitter draw is a pure
-        // function of (seed, msg, seq, attempt): replays are identical.
-        let shift = attempt.min(rel.rparams.backoff_cap);
-        let backoff = (rel.rparams.rto << shift).min(rel.rparams.rto_max.max(rel.rparams.rto));
+        // Capped exponential backoff plus a seeded uniform jitter, so the
+        // timers of a correlated drop burst spread out instead of firing
+        // in lockstep (retransmit storms under open-loop overload). The
+        // jitter draw is a pure function of (seed, msg, seq, attempt):
+        // replays are identical.
         let jitter = rel
             .injector
             .jitter(msg_id, seq, attempt, rel.rparams.rto_jitter);
-        let deadline = arrival + backoff + jitter;
+        let deadline = arrival + rel.rparams.backoff(attempt) + jitter;
         sim.schedule(deadline, move |w, s| w.retry_timeout(s, idx, attempt));
     }
 
     /// Retransmission timer for `attempt` of packet `idx` fired.
-    fn retry_timeout(&mut self, sim: &mut Sim<World>, idx: usize, attempt: u32) {
-        let params_net = self.params.net_latency;
-        let wire = self.params.pkt_wire_time(self.packets[idx].len);
-        let rel = self.rel.as_mut().expect("fault mode");
+    fn retry_timeout(&mut self, sim: &mut Sim<Nic<Single>>, idx: usize, attempt: u32) {
+        let now = sim.now();
+        let wire = self.params.pkt_wire_time(self.msgs[0].packets[idx].len);
+        let arrival = now + self.params.net_latency + wire;
+        let rel = self.fe.rel.as_mut().expect("fault mode");
         let tx = &mut rel.tx[idx];
         if tx.acked || tx.fallback || tx.attempt != attempt {
             return; // delivered, degraded, or a newer attempt owns the timer
@@ -420,43 +427,40 @@ impl World {
             // reliable host channel instead of wedging the receive.
             tx.fallback = true;
             rel.stats.host_fallback_packets += 1;
-            let at = sim.now() + rel.rparams.fallback_latency;
-            self.tel.counter("spin", "host_fallback", 0, sim.now(), 1);
+            let at = now + rel.rparams.fallback_latency;
+            self.tel.counter("spin", "host_fallback", 0, now, 1);
             sim.schedule(at, move |w, s| w.packet_rx(s, idx, None));
             return;
         }
         tx.attempt = attempt + 1;
         rel.stats.retransmissions += 1;
-        self.tel.counter("spin", "retransmission", 0, sim.now(), 1);
-        let arrival = sim.now() + params_net + wire;
-        self.tel
-            .span("spin", "wire", 0, sim.now(), sim.now() + wire);
+        self.tel.counter("spin", "retransmission", 0, now, 1);
+        self.tel.span("spin", "wire", 0, now, now + wire);
         self.transmit(sim, idx, attempt + 1, arrival);
     }
 
     /// A copy of packet `idx` reached the NIC. `copy: None` means the
     /// reliable host-fallback channel delivered it (never faulty).
-    fn packet_rx(&mut self, sim: &mut Sim<World>, idx: usize, copy: Option<DeliveredCopy>) {
-        let hdr = self.packets[idx].hdr;
+    fn packet_rx(&mut self, sim: &mut Sim<Nic<Single>>, idx: usize, copy: Option<DeliveredCopy>) {
         let now = sim.now();
         // Corruption detection: recompute the checksum over the bytes as
         // they arrived. The fault layer materializes corrupted copies
         // copy-on-write, so the shared wire buffer is never mutated. A
         // single-byte flip always breaks FNV-1a, so a corrupted copy
         // never reaches the pipeline.
+        let rel = self.fe.rel.as_mut().expect("fault mode");
         if let Some(c) = copy {
-            if c.corrupt && hdr.len > 0 {
-                let bytes = c.materialize(&self.packets[idx].payload);
-                if !hdr.verify_payload(&bytes) {
-                    let rel = self.rel.as_mut().expect("fault mode");
+            let pkt = &self.msgs[0].packets[idx];
+            if c.corrupt && pkt.len > 0 {
+                let intact = pkt.hdr.verify_payload(&c.materialize(&pkt.payload));
+                debug_assert!(!intact, "single-byte flip must break the checksum");
+                if !intact {
                     rel.stats.corrupts_rejected += 1;
                     self.tel.counter("spin", "corrupt_rejected", 0, now, 1);
                     return; // discarded; the sender's timer recovers it
                 }
-                debug_assert!(false, "single-byte flip must break the checksum");
             }
         }
-        let rel = self.rel.as_mut().expect("fault mode");
         if rel.received[idx] {
             rel.stats.dups_suppressed += 1;
             self.tel.counter("spin", "dup_suppressed", 0, now, 1);
@@ -464,430 +468,15 @@ impl World {
         }
         rel.received[idx] = true;
         // Acknowledge so the sender cancels the retransmission timer.
-        let ack_at = now + rel.rparams.ack_latency;
-        sim.schedule(ack_at, move |w, _| {
-            let rel = w.rel.as_mut().expect("fault mode");
+        sim.schedule(now + rel.rparams.ack_latency, move |w, _| {
+            let rel = w.fe.rel.as_mut().expect("fault mode");
             if !rel.tx[idx].acked {
                 rel.tx[idx].acked = true;
                 rel.stats.acks_received += 1;
             }
         });
-        self.packet_arrival(sim, idx);
+        self.packet_arrival(sim, 0, idx);
     }
-
-    fn packet_arrival(&mut self, sim: &mut Sim<World>, idx: usize) {
-        let hdr = self.packets[idx].hdr;
-        self.arrived += 1;
-        self.tel.counter("spin", "packets_arrived", 0, sim.now(), 1);
-        // The header packet triggers the Portals matching walk and fixes
-        // the message's data path (the pinned ME serves the rest).
-        if hdr.kind.is_header() {
-            if let Some(mu) = self.matching.as_mut() {
-                let (outcome, me) = mu.match_header(hdr.msg_id, self.match_bits);
-                self.path = match (outcome, me.and_then(|m| m.exec_ctx)) {
-                    (MatchOutcome::Priority, Some(_)) => MsgPath::Spin,
-                    (MatchOutcome::Priority, None) => MsgPath::NonProcessing,
-                    (MatchOutcome::Overflow, _) => MsgPath::Unexpected,
-                    (MatchOutcome::Discard, _) => MsgPath::Discarded,
-                };
-            }
-        }
-        if hdr.kind.is_completion() {
-            if let Some(mu) = self.matching.as_mut() {
-                mu.complete(hdr.msg_id);
-            }
-        }
-        match self.path {
-            MsgPath::Spin => {
-                // Inbound engine: copy payload into NIC memory, then HER.
-                let inbound = self.params.nic_passthrough + self.params.nicmem_copy_time(hdr.len);
-                self.tel
-                    .span("spin", "inbound", 0, sim.now(), sim.now() + inbound);
-                sim.schedule_call_in(inbound, ev_her_ready, idx as u64, 0);
-            }
-            MsgPath::NonProcessing | MsgPath::Unexpected => {
-                // RDMA landing: one contiguous DMA write per packet at its
-                // stream offset; no HPU involvement. The write reuses the
-                // packet's payload view — no bytes are copied.
-                let passthrough = self.params.nic_passthrough;
-                let last = self.arrived == self.packets.len() as u64;
-                let overflow = self.path == MsgPath::Unexpected;
-                sim.schedule_in(passthrough, move |w, s| {
-                    let payload = w.packets[idx].payload.clone();
-                    w.enqueue_dma(
-                        s,
-                        DmaWrite::data(w.host_origin + hdr.offset as i64, payload),
-                    );
-                    if last {
-                        w.events.post(FullEvent {
-                            kind: if overflow {
-                                EventKind::PutOverflow
-                            } else {
-                                EventKind::Put
-                            },
-                            msg_id: hdr.msg_id,
-                            size: w.packed.len() as u64,
-                            time: s.now(),
-                        });
-                        w.enqueue_dma(s, DmaWrite::completion_signal());
-                    }
-                });
-            }
-            MsgPath::Discarded => {
-                // Dropped: no data movement, no events. The run ends when
-                // the last packet has been parsed.
-                if self.arrived == self.packets.len() as u64 {
-                    self.t_complete = Some(sim.now() + self.params.nic_passthrough);
-                }
-            }
-        }
-    }
-
-    fn her_ready(&mut self, sim: &mut Sim<World>, idx: usize) {
-        // The inbound engine has landed this payload in NIC memory:
-        // charge it against the NIC-memory budget until its handler
-        // consumes it.
-        self.resident_payload += self.packets[idx].len;
-        if self.resident_payload > self.resident_hwm {
-            self.resident_hwm = self.resident_payload;
-        }
-        self.tel.gauge(
-            "spin",
-            "nic_mem_bytes",
-            0,
-            sim.now(),
-            (self.nic_mem + self.resident_payload) as f64,
-        );
-        let seq = self.packets[idx].seq;
-        let vhpu = self.proc.policy().vhpu_of(seq);
-        if self.tel.is_enabled() {
-            self.enq_time.insert(idx, sim.now());
-        }
-        // The vHPU id doubles as the dFCFS steering hint: the single-
-        // message pipeline has no flow table, so vHPUs map straight
-        // onto physical HPUs.
-        self.sched.enqueue(vhpu, idx, vhpu as usize);
-        self.try_dispatch(sim);
-    }
-
-    fn try_dispatch(&mut self, sim: &mut Sim<World>) {
-        while let Some(d) = self.sched.next_dispatch() {
-            let (vhpu, idx, hpu) = (d.key, d.pkt, d.hpu);
-            let dispatch = self.params.sched_dispatch;
-            let now = sim.now();
-            // Only populated when telemetry is on; skip the hash when
-            // provably empty.
-            if !self.enq_time.is_empty() {
-                if let Some(enq) = self.enq_time.remove(&idx) {
-                    self.hist_queue_wait.record(now - enq);
-                    if now > enq {
-                        self.tel.span("spin", "queue_wait", vhpu, enq, now);
-                    }
-                }
-            }
-            self.tel.instant("spin", "dispatch", vhpu, now);
-            self.tel.span("spin", "sched", vhpu, now, now + dispatch);
-            sim.schedule_call_in(
-                dispatch,
-                ev_run_handler,
-                vhpu,
-                ((idx as u64) << 32) | hpu as u64,
-            );
-        }
-    }
-
-    fn run_handler(&mut self, sim: &mut Sim<World>, vhpu: u64, idx: usize, hpu: usize) {
-        let hdr = self.packets[idx].hdr;
-        // In the eager-DMA regime the handler scatters payload bytes
-        // straight into the receive buffer (length-only DMA writes);
-        // the event-driven engine needs view-carrying writes so the
-        // bytes land at their simulated DMA times.
-        let direct = if self.dma.eager {
-            Some(DirectDst {
-                buf: &mut self.host_buf[..],
-                origin: self.host_origin,
-            })
-        } else {
-            None
-        };
-        let mut ctx = PacketCtx {
-            payload: &self.packets[idx].payload,
-            stream_offset: hdr.offset,
-            seq: hdr.seq,
-            npkt: self.packets.len() as u64,
-            vhpu,
-            now: sim.now(),
-            direct,
-        };
-        let out = self.proc.on_payload(&mut ctx);
-        self.handler_costs.push(out.cost);
-        let runtime = out.cost.total();
-        if self.tel.is_enabled() {
-            self.hist_handler.record(runtime);
-        }
-        self.tel
-            .span("spin", "handler", vhpu, sim.now(), sim.now() + runtime);
-        let args = (vhpu, idx, hpu, out.dma);
-        let slot = match self.done_free.pop() {
-            Some(i) => {
-                self.done_slots[i as usize] = Some(args);
-                i
-            }
-            None => {
-                self.done_slots.push(Some(args));
-                (self.done_slots.len() - 1) as u32
-            }
-        };
-        sim.schedule_call_in(runtime, ev_handler_done, slot as u64, 0);
-    }
-
-    fn handler_done(
-        &mut self,
-        sim: &mut Sim<World>,
-        vhpu: u64,
-        idx: usize,
-        hpu: usize,
-        mut dma: Vec<DmaWrite>,
-    ) {
-        // The handler consumed the packet: its payload leaves NIC memory.
-        self.resident_payload -= self.packets[idx].len;
-        self.tel.gauge(
-            "spin",
-            "nic_mem_bytes",
-            0,
-            sim.now(),
-            (self.nic_mem + self.resident_payload) as f64,
-        );
-        if self.dma.eager {
-            self.eager_dma_batch(sim.now(), &mut dma);
-            dma.clear();
-        } else {
-            for w in dma.drain(..) {
-                self.enqueue_dma(sim, w);
-            }
-        }
-        // Hand the emptied scratch vector back to the strategy so the
-        // next handler invocation reuses its capacity.
-        self.proc.recycle_dma(dma);
-        self.sched.done(vhpu, hpu);
-        self.pending_payload -= 1;
-        if self.pending_payload == 0 && !self.completion_dispatched {
-            self.completion_dispatched = true;
-            let dispatch = self.params.sched_dispatch;
-            sim.schedule_in(dispatch, |w, s| {
-                let out = w.proc.on_completion();
-                let runtime = out.cost.total();
-                s.schedule_in(runtime, move |w2, s2| {
-                    for wr in out.dma {
-                        w2.enqueue_dma(s2, wr);
-                    }
-                });
-            });
-        }
-        self.try_dispatch(sim);
-    }
-
-    fn enqueue_dma(&mut self, sim: &mut Sim<World>, w: DmaWrite) {
-        if self.dma.eager {
-            self.eager_dma(sim.now(), &w);
-            return;
-        }
-        self.dma.queue.push(sim.now(), w);
-        // Sampled at exactly the FIFO's own history points (occupancy
-        // after the push/pop) so a trace-driven Fig. 15 reproduces
-        // `dma_history` sample for sample.
-        self.tel.gauge(
-            "spin",
-            "dma_queue",
-            0,
-            sim.now(),
-            self.dma.queue.len() as f64,
-        );
-        self.kick_dma(sim);
-    }
-
-    /// Eager DMA service: resolve the write's service window now instead
-    /// of round-tripping through per-write simulator events. Arrivals are
-    /// FIFO at nondecreasing sim times, so "the write starts on the
-    /// earliest-free channel, no earlier than now" reproduces the
-    /// event-driven engine's multi-server schedule exactly; the ordered
-    /// completion write instead waits for every channel to drain (the
-    /// `kick_dma` Portals-ordering guard). The occupancy model replays
-    /// queue-leave (service-start) times against push times so
-    /// `dma_max_queue` matches the event-driven engine.
-    fn eager_dma(&mut self, now: Time, w: &DmaWrite) {
-        let land = self.eager_schedule(now, w);
-        self.dma_landed(land, w);
-    }
-
-    /// Batched variant for a handler's whole write list: one profiled
-    /// pass copies all landed bytes, with no per-write event machinery.
-    fn eager_dma_batch(&mut self, now: Time, writes: &mut Vec<DmaWrite>) {
-        let _phase = nca_sim::profile::enter(nca_sim::profile::Phase::DmaCopy);
-        for w in writes.drain(..) {
-            let land = self.eager_schedule(now, &w);
-            if !w.data.is_empty() {
-                let start = (w.host_off - self.host_origin) as usize;
-                nca_ddt::kernels::copy_block(&mut self.host_buf, start, &w.data, 0, w.data.len());
-            }
-            if w.event {
-                self.t_complete = Some(land);
-                self.tel.instant("spin", "message_complete", 0, land);
-            }
-        }
-    }
-
-    /// Resolve one write's service window against the channel states;
-    /// shared core of the eager paths. Returns the landing time.
-    #[inline]
-    fn eager_schedule(&mut self, now: Time, w: &DmaWrite) -> Time {
-        let d = &mut self.dma;
-        // Writes whose service started by `now` have left the queue —
-        // the event engine's `kick_dma` pops them before this push.
-        while d.starts.front().is_some_and(|&t| t <= now) {
-            d.starts.pop_front();
-            d.occ -= 1;
-        }
-        d.occ += 1;
-        d.max_occ = d.max_occ.max(d.occ);
-        let chan = if w.event {
-            // Completion: all channels idle first.
-            (0..d.free_at.len()).max_by_key(|&i| d.free_at[i]).unwrap()
-        } else {
-            (0..d.free_at.len()).min_by_key(|&i| d.free_at[i]).unwrap()
-        };
-        let service = self.params.dma_service_time(w.len);
-        let start = now.max(d.free_at[chan]);
-        d.free_at[chan] = start + service;
-        debug_assert!(d.starts.back().is_none_or(|&b| b <= start));
-        d.starts.push_back(start);
-        d.writes += 1;
-        d.bytes += w.len;
-        start + service + self.params.pcie_latency
-    }
-
-    fn kick_dma(&mut self, sim: &mut Sim<World>) {
-        while let Some(chan) = self.dma.free_channel() {
-            // The event-generating completion write must land after all
-            // data writes: dispatch it only once every channel is idle
-            // and it is alone in the queue (Portals ordering guarantee).
-            if let Some(front) = self.dma.queue.front() {
-                if front.event && self.dma.busy_count() > 0 {
-                    return;
-                }
-            }
-            let Some(w) = self.dma.queue.pop(sim.now()) else {
-                return;
-            };
-            self.tel.gauge(
-                "spin",
-                "dma_queue",
-                0,
-                sim.now(),
-                self.dma.queue.len() as f64,
-            );
-            self.dma.chan_busy[chan] = true;
-            let service = self.params.dma_service_time(w.len);
-            if self.tel.is_enabled() {
-                self.hist_dma.record(service);
-                // Busy-interval span on the channel's own track (the
-                // Perfetto PCIe-utilization view).
-                self.tel.span(
-                    "spin",
-                    "dma_chan",
-                    chan as u64,
-                    sim.now(),
-                    sim.now() + service,
-                );
-            }
-            self.dma.chan_slot[chan] = Some(w);
-            sim.schedule_call_in(service, ev_dma_service_done, chan as u64, 0);
-        }
-    }
-
-    /// A channel finished putting its write on the wire. The write lands
-    /// in host memory one PCIe latency later.
-    fn dma_service_done(&mut self, sim: &mut Sim<World>, chan: usize) {
-        let w = self.dma.chan_slot[chan]
-            .take()
-            .expect("service-done on idle channel");
-        self.dma.chan_busy[chan] = false;
-        self.dma.writes += 1;
-        self.dma.bytes += w.len;
-        let landing = self.params.pcie_latency;
-        if self.tel.is_enabled() {
-            // Telemetry path: keep the landing as its own event so the
-            // per-event probe stream and span timeline stay identical to
-            // the reference pipeline.
-            if w.event {
-                // The completion drain: everything is on the wire, the
-                // run now waits for the final PCIe landing.
-                self.tel.span(
-                    "spin",
-                    "dma_drain",
-                    chan as u64,
-                    sim.now(),
-                    sim.now() + landing,
-                );
-            }
-            sim.schedule_in(landing, move |w2, s2| {
-                let t = s2.now();
-                w2.dma_landed(t, &w);
-            });
-        } else {
-            // Fast path: land the bytes now. Every write's landing time
-            // is its service-done time plus a constant, so landing order
-            // equals service order and the final buffer is byte-identical;
-            // the completion timestamp still accounts the PCIe latency.
-            let t_land = sim.now() + landing;
-            self.dma_landed(t_land, &w);
-        }
-        self.kick_dma(sim);
-    }
-
-    fn dma_landed(&mut self, t: Time, w: &DmaWrite) {
-        if !w.data.is_empty() {
-            let _phase = nca_sim::profile::enter(nca_sim::profile::Phase::DmaCopy);
-            let start = (w.host_off - self.host_origin) as usize;
-            self.host_buf[start..start + w.data.len()].copy_from_slice(&w.data);
-        }
-        if w.event {
-            // Completion event: the message is fully in the receive buffer.
-            self.t_complete = Some(t);
-            self.tel.instant("spin", "message_complete", 0, t);
-        }
-    }
-}
-
-// Allocation-free event bodies for the per-packet hot path (scheduled via
-// `Sim::schedule_call`): a function pointer plus two scalars instead of a
-// boxed closure per event.
-
-fn ev_packet_arrival(w: &mut World, s: &mut Sim<World>, idx: u64, _b: u64) {
-    w.packet_arrival(s, idx as usize);
-}
-
-fn ev_her_ready(w: &mut World, s: &mut Sim<World>, idx: u64, _b: u64) {
-    w.her_ready(s, idx as usize);
-}
-
-fn ev_run_handler(w: &mut World, s: &mut Sim<World>, vhpu: u64, idx_hpu: u64) {
-    w.run_handler(
-        s,
-        vhpu,
-        (idx_hpu >> 32) as usize,
-        (idx_hpu & 0xFFFF_FFFF) as usize,
-    );
-}
-
-fn ev_dma_service_done(w: &mut World, s: &mut Sim<World>, chan: u64, _b: u64) {
-    w.dma_service_done(s, chan as usize);
-}
-
-fn ev_handler_done(w: &mut World, s: &mut Sim<World>, slot: u64, _b: u64) {
-    let (vhpu, idx, hpu, dma) = w.done_slots[slot as usize].take().expect("armed done slot");
-    w.done_free.push(slot as u32);
-    w.handler_done(s, vhpu, idx, hpu, dma);
 }
 
 /// The receive-pipeline runner.
@@ -907,7 +496,7 @@ impl ReceiveSim {
         cfg: &RunConfig,
     ) -> RunReport {
         let packed: WireBuf = packed.into();
-        let params = cfg.params.clone();
+        let params = &cfg.params;
         let faulty = !cfg.faults.is_inert();
         assert!(
             !faulty || cfg.portals.is_none(),
@@ -921,7 +510,6 @@ impl ReceiveSim {
             // the lossless path skips the per-byte FNV pass entirely.
             stamp_checksums(&mut packets);
         }
-        let packets = packets;
         let npkt = packets.len() as u64;
 
         // Network arrival schedule: serialization at line rate after the
@@ -954,122 +542,60 @@ impl ReceiveSim {
                 );
             });
         }
-        let eager = match cfg.engine {
-            EngineMode::Event => false,
-            EngineMode::Auto | EngineMode::Eager => !needs_events,
-        };
 
-        let mut world = World {
-            params: params.clone(),
-            packets,
-            packed,
-            proc,
-            sched: Scheduler::new(params.discipline, params.hpus),
-            dma: DmaEngine {
-                queue: TrackedFifo::new(cfg.record_dma_history),
-                chan_busy: vec![false; params.dma_channels.max(1)],
-                chan_slot: (0..params.dma_channels.max(1)).map(|_| None).collect(),
-                eager,
-                free_at: vec![0; params.dma_channels.max(1)],
-                starts: VecDeque::new(),
-                occ: 0,
-                max_occ: 0,
-                writes: 0,
-                bytes: 0,
-            },
-            host_buf: nca_sim::arena::take_zeroed(host_span as usize),
-            host_origin,
-            pending_payload: npkt,
-            completion_dispatched: false,
-            t_complete: None,
-            handler_costs: Vec::with_capacity(npkt as usize),
+        let fe = Single {
             matching: cfg.portals.as_ref().map(|p| p.matching.clone()),
             match_bits: cfg.portals.as_ref().map(|p| p.match_bits).unwrap_or(0),
             path: MsgPath::Spin,
-            events: EventQueue::new(),
             arrived: 0,
-            tel: cfg.telemetry.clone(),
-            enq_time: HashMap::new(),
-            done_slots: Vec::new(),
-            done_free: Vec::new(),
-            hist_handler: LogHistogram::new(),
-            hist_queue_wait: LogHistogram::new(),
-            hist_dma: LogHistogram::new(),
-            nic_mem,
-            resident_payload: 0,
-            resident_hwm: 0,
+            msg_bytes: packed.len() as u64,
+            events: EventQueue::new(),
             rel: faulty.then(|| RelState {
                 injector: FaultInjector::new(cfg.faults),
                 rparams: cfg.reliability.clone(),
-                tx: (0..npkt)
-                    .map(|_| TxState {
-                        acked: false,
-                        attempt: 0,
-                        fallback: false,
-                    })
-                    .collect(),
+                tx: vec![TxState::default(); npkt as usize],
                 received: vec![false; npkt as usize],
                 stats: ReliabilityStats::default(),
             }),
         };
+        let eager = cfg.engine.is_eager(needs_events);
+        let tel = cfg.telemetry.clone();
+        let mut nic = Nic::new(params.clone(), tel, eager, cfg.record_dma_history, fe);
+        let host_buf = nca_sim::arena::take_zeroed(host_span as usize);
+        nic.admit(packets, proc, host_buf, host_origin);
 
-        let mut sim: Sim<World> = Sim::new();
-        if cfg.telemetry.is_enabled() {
-            sim.set_probe(Box::new(SimTelemetryProbe::new(
-                cfg.telemetry.clone(),
-                "sim",
-            )));
+        let mut sim: Sim<Nic<Single>> = Sim::new();
+        if nic.tel.is_enabled() {
+            sim.set_probe(Box::new(SimTelemetryProbe::new(nic.tel.clone(), "sim")));
             // One-shot allocation sample: the strategy's NIC-memory
             // footprint is fixed for the lifetime of the receive.
-            world
-                .tel
-                .gauge("spin", "nic_mem_bytes", 0, 0, nic_mem as f64);
+            nic.tel.gauge("spin", "nic_mem_bytes", 0, 0, nic_mem as f64);
         }
         let t_first_byte = params.net_latency;
         let mut t = t_first_byte;
-        if faulty {
-            // Reliable mode: each serialization slot is a *transmission*
-            // through the fault layer; the retransmission protocol and
-            // receiver dedup guarantee exactly-once processing.
-            let mut slots = Vec::with_capacity(order.len());
-            for &pkt_idx in &order {
-                let wire = params.pkt_wire_time(world.packets[pkt_idx].len);
-                world.tel.span("spin", "wire", 0, t, t + wire);
-                t += wire;
-                slots.push((pkt_idx, t));
-            }
-            for (pkt_idx, at) in slots {
-                world.transmit(&mut sim, pkt_idx, 0, at);
-            }
-        } else {
-            for &pkt_idx in &order {
-                let wire = params.pkt_wire_time(world.packets[pkt_idx].len);
-                world.tel.span("spin", "wire", 0, t, t + wire);
-                t += wire;
-                sim.schedule_call(t, ev_packet_arrival, pkt_idx as u64, 0);
+        let mut slots = Vec::with_capacity(order.len());
+        for &idx in &order {
+            let wire = params.pkt_wire_time(nic.msgs[0].packets[idx].len);
+            nic.tel.span("spin", "wire", 0, t, t + wire);
+            t += wire;
+            slots.push((idx, t));
+        }
+        for (idx, at) in slots {
+            if faulty {
+                // Reliable mode: each serialization slot is a
+                // *transmission* through the fault layer; retransmission
+                // and receiver dedup guarantee exactly-once processing.
+                nic.transmit(&mut sim, idx, 0, at);
+            } else {
+                Nic::schedule_arrival(&mut sim, at, 0, idx);
             }
         }
-        sim.run(&mut world);
+        sim.run(&mut nic);
 
-        let t_complete = world.t_complete.unwrap_or_else(|| sim.now());
-        // Emit the accumulated distributions as single mergeable events
-        // so percentiles survive however much the ring evicted.
-        if world.tel.is_enabled() {
-            world
-                .tel
-                .histogram("spin", "handler_ps", 0, t_complete, &world.hist_handler);
-            world.tel.histogram(
-                "spin",
-                "queue_wait_ps",
-                0,
-                t_complete,
-                &world.hist_queue_wait,
-            );
-            world
-                .tel
-                .histogram("spin", "dma_service_ps", 0, t_complete, &world.hist_dma);
-        }
-        let rel = match world.rel.take() {
+        let msg = nic.msgs.pop().expect("one message");
+        let t_complete = msg.t_complete.unwrap_or_else(|| sim.now());
+        nic.emit_histograms(t_complete);
+        let rel = match nic.fe.rel.take() {
             Some(r) => ReliabilityStats {
                 delivered_exactly_once: r.received.iter().all(|&x| x),
                 ..r.stats
@@ -1079,24 +605,25 @@ impl ReceiveSim {
                 ..ReliabilityStats::default()
             },
         };
+        let dma = &mut nic.dma;
         RunReport {
             strategy: strategy_name,
-            msg_bytes: world.packed.len() as u64,
+            msg_bytes: nic.fe.msg_bytes,
             npkt,
             t_first_byte,
             t_complete,
-            host_buf: world.host_buf,
+            host_buf: msg.host_buf,
             host_origin,
-            dma_writes: world.dma.writes,
-            dma_bytes: world.dma.bytes,
-            dma_max_queue: world.dma.queue.max_occupancy().max(world.dma.max_occ),
-            dma_history: world.dma.queue.take_history(),
-            handler_costs: world.handler_costs,
+            dma_writes: dma.writes,
+            dma_bytes: dma.bytes,
+            dma_max_queue: dma.queue.max_occupancy().max(dma.max_occ),
+            dma_history: dma.queue.take_history(),
+            handler_costs: msg.handler_costs,
             nic_mem_bytes: nic_mem,
-            nic_mem_hwm_bytes: nic_mem + world.resident_hwm,
+            nic_mem_hwm_bytes: nic_mem + nic.resident_hwm,
             host_setup_time: host_setup,
-            path: world.path,
-            events: world.events.into_all(),
+            path: nic.fe.path,
+            events: nic.fe.events.into_all(),
             rel,
             eager_fallback,
         }

@@ -1,8 +1,8 @@
 //! Pluggable HPU queueing disciplines.
 //!
-//! The receive pipelines (single-message [`crate::nic`], concurrent
-//! [`crate::multi`], and the open-loop traffic engine) all funnel ready
-//! handlers through one scheduler that multiplexes work onto the
+//! The shared receive pipeline ([`crate::pipeline`], fed by the
+//! single-message, concurrent and open-loop traffic front ends) funnels
+//! ready handlers through one scheduler that multiplexes work onto the
 //! physical HPUs. Historically that scheduler was hard-wired to the
 //! paper's blocked round-robin semantics; under multi-tenant load the
 //! choice of discipline dominates tail latency, so it is now pluggable:
@@ -16,13 +16,13 @@
 //!   keys — the M/G/k ideal.
 //! * [`QueueDiscipline::DFcfs`] — distributed FCFS: every physical HPU
 //!   owns a private FIFO; arrivals are steered to an HPU by the
-//!   caller's hint (an RSS-style indirection-table lookup in the
-//!   traffic engine). Cache-friendly and synchronization-free on real
+//!   front end's hint (the vHPU itself for one message, a hash of
+//!   `(message, vHPU)` for a concurrent set, an RSS-style
+//!   indirection-table lookup in the traffic engine). Cache-friendly and synchronization-free on real
 //!   hardware, but hash imbalance shows up directly in the tail.
 //!
-//! The scheduler is generic over the queue key `K` — the single-message
-//! pipeline keys by vHPU id, the concurrent pipelines by
-//! `(message, vHPU)`.
+//! The scheduler is generic over the queue key `K`; the pipeline keys
+//! by `(message, vHPU)`, so vHPUs are namespaced per message.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 

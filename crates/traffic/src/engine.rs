@@ -1,33 +1,38 @@
-//! The open-loop traffic engine.
+//! The open-loop traffic front end of the receive pipeline.
 //!
-//! A cell run drives the sPIN NIC model with many concurrent tenants.
-//! Each tenant owns a seeded arrival process ([`crate::arrival`]), a
-//! message mix over application datatypes, and a strategy; the engine
+//! A cell run drives the shared sPIN NIC core ([`nca_spin::pipeline`])
+//! with many concurrent tenants. Each tenant owns a seeded arrival
+//! process ([`crate::arrival`]), a message mix over application
+//! datatypes, and a strategy. This front end owns only what is
+//! specific to open-loop service: it generates the offer schedule,
 //! offers messages open-loop (arrivals do not wait for completions),
 //! admits them against the NIC packet-buffer budget, serializes
-//! admitted packets onto the shared ingress link, and runs the full
-//! receive pipeline — inbound engine, pluggable-discipline HPU
-//! scheduler, real handler execution, DMA/PCIe — to completion.
+//! admitted packets onto the shared ingress link FIFO, steers dFCFS by
+//! an RSS table, and accounts each completion per tenant (latency,
+//! byte verification, buffer release). Inbound engine, HPU scheduling,
+//! handler execution and DMA/PCIe are the core's.
 //!
 //! Overload shows up as admission rejections: a rejected offer backs
-//! off (capped exponential + seeded jitter, the same policy the
-//! reliability layer's retransmit timers use) and re-offers, up to the
-//! retry budget; past it the message is *lost*. Offer→completion
-//! latency therefore includes backoff delay, link serialization, HPU
-//! queueing and DMA — the end-to-end number a tenant would see.
+//! off (capped exponential + seeded jitter,
+//! [`ReliabilityParams::backoff`], the policy the reliability layer's
+//! retransmit timers use) and re-offers, up to the retry budget; past
+//! it the message is *lost*. Offer→completion latency therefore
+//! includes backoff delay, link serialization, HPU queueing and DMA —
+//! the end-to-end number a tenant would see.
 //!
 //! Everything is a pure function of the config (seed included): two
 //! runs produce bit-identical schedules, latencies and counters.
 
 use std::collections::HashMap;
 
-use nca_core::runner::Strategy;
-use nca_ddt::pack::{buffer_span, pack, unpack};
-use nca_portals::packet::{packetize_wire, Packet};
-use nca_sim::{FaultInjector, FaultSpec, Sim, Time, TrackedFifo, WireBuf};
-use nca_spin::handler::{DmaWrite, MessageProcessor};
+use nca_core::runner::{packed_message, Strategy};
+use nca_ddt::pack::{buffer_span, unpack};
+use nca_portals::packet::packetize_wire;
+use nca_sim::{FaultInjector, FaultSpec, PooledBuf, Sim, Time, WireBuf};
+use nca_spin::nic::EngineMode;
 use nca_spin::params::{NicParams, ReliabilityParams};
-use nca_spin::sched::{QueueDiscipline, Scheduler};
+use nca_spin::pipeline::{FrontEnd, Nic};
+use nca_spin::sched::QueueDiscipline;
 use nca_telemetry::hist::LogHistogram;
 use nca_telemetry::Telemetry;
 use nca_workloads::apps::AppWorkload;
@@ -169,7 +174,7 @@ pub fn render_schedule(sched: &[ScheduledMsg]) -> String {
 }
 
 /// Per-tenant accounting of one run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct TenantStats {
     /// Tenant label.
     pub name: String,
@@ -189,22 +194,6 @@ pub struct TenantStats {
     pub bytes_completed: u64,
     /// Offer→completion latency (ps).
     pub latency: LogHistogram,
-}
-
-impl TenantStats {
-    fn new(name: &str) -> Self {
-        TenantStats {
-            name: name.to_string(),
-            offered: 0,
-            admitted: 0,
-            completed: 0,
-            dropped: 0,
-            retried: 0,
-            lost: 0,
-            bytes_completed: 0,
-            latency: LogHistogram::new(),
-        }
-    }
 }
 
 /// Outcome of one traffic cell run.
@@ -252,32 +241,9 @@ pub fn mean_mix_wire_ps(params: &NicParams, mix: &[AppWorkload]) -> f64 {
     total as f64 / mix.len() as f64
 }
 
-/// The deterministic packed byte pattern every message of a workload
-/// carries (same generator as `core::runner::Experiment`).
-fn packed_message(dt: &nca_ddt::types::Datatype, count: u32) -> Vec<u8> {
-    let _phase = nca_sim::profile::enter(nca_sim::profile::Phase::Alloc);
-    let (origin, span) = buffer_span(dt, count);
-    let src: Vec<u8> = (0..span as usize)
-        .map(|i| (i.wrapping_mul(31) % 251) as u8)
-        .collect();
-    pack(dt, count, &src, origin).expect("packable")
-}
-
-struct MsgState {
-    tenant: usize,
-    wl: usize,
-    flow: u64,
-    offered_at: Time,
-    packets: Vec<Packet>,
-    proc: Box<dyn MessageProcessor>,
-    host_buf: Vec<u8>,
-    host_origin: i64,
-    pending_payload: u64,
-    completion_dispatched: bool,
-}
-
-struct TrafficWorld {
-    params: NicParams,
+/// The traffic front end's state: offer schedule, admission, link FIFO,
+/// steering and per-tenant accounting.
+struct Traffic {
     rel: ReliabilityParams,
     /// Seeded jitter source for admission-retry backoff (the fault
     /// spec is inert: only the jitter lane is drawn).
@@ -290,288 +256,130 @@ struct TrafficWorld {
     strategies: Vec<Strategy>,
     schedule: Vec<ScheduledMsg>,
     rss: IndirectionTable,
-    msgs: Vec<MsgState>,
-    sched: Scheduler<(usize, u64)>,
+    /// Schedule index of each admitted message, by the core's handle.
+    admitted: Vec<usize>,
+    discipline: QueueDiscipline,
     /// When each physical HPU slot frees up, for span attribution.
     /// Blocked-RR and cFCFS schedule against an anonymous free-HPU
-    /// *count* (their [`Dispatch::hpu`] is always 0), so the busy
-    /// series assigns each handler the lowest slot free at dispatch;
-    /// dFCFS binds real HPU indices and bypasses this.
+    /// *count* (their dispatch `hpu` is always 0), so the busy series
+    /// assigns each handler the lowest slot free at dispatch; dFCFS
+    /// binds real HPU indices and bypasses this.
     hpu_busy_until: Vec<Time>,
-    dma_queue: TrackedFifo<(usize, DmaWrite)>,
-    dma_chan_busy: Vec<bool>,
     link_free: Time,
     inflight_bytes: u64,
     stats: Vec<TenantStats>,
     byte_exact: bool,
     t_end: Time,
-    /// Trace sink (component `"traffic"`); disabled handles make every
-    /// emission a no-op, so the closed-loop hot path stays clean.
-    tel: Telemetry,
 }
 
-impl TrafficWorld {
-    fn offer(&mut self, sim: &mut Sim<TrafficWorld>, sched_idx: usize, attempt: u32) {
-        let m = self.schedule[sched_idx];
-        let wl = self.mix_slot[m.tenant][m.mix_idx];
-        let bytes = self.cache[wl].packed.len() as u64;
-        if self.inflight_bytes + bytes > self.params.pkt_buffer_bytes {
-            // Admission rejection: the NIC's packet buffer cannot hold
-            // another in-flight message. Back off and re-offer.
-            self.stats[m.tenant].dropped += 1;
-            self.tel
-                .counter("traffic", "dropped", m.tenant as u64, sim.now(), 1);
-            if attempt < self.rel.max_retries {
-                self.stats[m.tenant].retried += 1;
-                let shift = attempt.min(self.rel.backoff_cap);
-                let backoff = (self.rel.rto << shift).min(self.rel.rto_max.max(self.rel.rto));
-                let jitter =
-                    self.jitter_src
-                        .jitter(sched_idx as u64, 0, attempt, self.rel.rto_jitter);
-                sim.schedule_in(backoff + jitter, move |w, s| {
-                    w.offer(s, sched_idx, attempt + 1)
-                });
-            } else {
-                self.stats[m.tenant].lost += 1;
-                self.tel
-                    .counter("traffic", "lost", m.tenant as u64, sim.now(), 1);
-            }
-            return;
+impl FrontEnd for Traffic {
+    /// The engine's trace (component `"traffic"`) carries HPU and DMA
+    /// busy series plus its own admission accounting, nothing per stage.
+    const COMPONENT: &'static str = "traffic";
+    const STAGE_TRACE: bool = false;
+
+    fn steer(&self, m: usize, _vhpu: u64) -> usize {
+        let a = &self.schedule[self.admitted[m]];
+        self.rss.hpu_for(flow_hash(a.tenant, a.flow))
+    }
+
+    /// Track the span by *physical* HPU — the busy resource the
+    /// utilization block reports on (vHPUs are per-message virtual).
+    /// Handlers are non-preemptive with runtime known up front, so slot
+    /// occupancy is a pure function of sim time and stays deterministic.
+    fn handler_track(&mut self, _vhpu: u64, hpu: usize, now: Time, runtime: Time) -> u64 {
+        if self.discipline == QueueDiscipline::DFcfs {
+            return hpu as u64;
         }
-        self.admit(sim, sched_idx);
+        let busy = &mut self.hpu_busy_until;
+        let slot = busy.iter().position(|&free_at| free_at <= now).unwrap_or(0);
+        busy[slot] = now + runtime;
+        slot as u64
     }
 
-    fn admit(&mut self, sim: &mut Sim<TrafficWorld>, sched_idx: usize) {
-        let m = self.schedule[sched_idx];
-        let wl = self.mix_slot[m.tenant][m.mix_idx];
-        let run = self.msgs.len();
-        let (proc, packed, span, origin) = {
-            let c = &self.cache[wl];
-            let proc = self.strategies[m.tenant].build(
-                &c.dt,
-                c.count,
-                self.params.clone(),
-                self.epsilon,
-                Telemetry::disabled(),
-            );
-            (proc, c.packed.clone(), c.span, c.origin)
-        };
-        let packets = packetize_wire(run as u64, &packed, self.params.payload_size);
-        self.inflight_bytes += packed.len() as u64;
-        self.stats[m.tenant].admitted += 1;
-        self.tel
-            .counter("traffic", "admitted", m.tenant as u64, sim.now(), 1);
-        self.tel.gauge(
-            "traffic",
-            "inflight_bytes",
-            0,
-            sim.now(),
-            self.inflight_bytes as f64,
-        );
-        // Serialize onto the shared ingress link FIFO from now (or from
-        // whenever the link frees up).
-        let now = sim.now();
-        let mut begin = self.link_free.max(now);
-        for (i, pkt) in packets.iter().enumerate() {
-            let end = begin + self.params.pkt_wire_time(pkt.len);
-            let at = end + self.params.net_latency;
-            sim.schedule(at, move |w, s| w.packet_arrival(s, run, i));
-            begin = end;
+    fn complete(nic: &mut Nic<Self>, m: usize, t: Time) {
+        let fe = &mut nic.fe;
+        let st = &mut nic.msgs[m];
+        let a = fe.schedule[fe.admitted[m]];
+        let c = &fe.cache[fe.mix_slot[a.tenant][a.mix_idx]];
+        if fe.verify && st.host_buf[..] != c.expect[..] {
+            fe.byte_exact = false;
         }
-        self.link_free = begin;
-        self.msgs.push(MsgState {
-            tenant: m.tenant,
-            wl,
-            flow: m.flow,
-            offered_at: m.arrival_ps,
-            pending_payload: packets.len() as u64,
-            packets,
-            proc,
-            host_buf: vec![0u8; span as usize],
-            host_origin: origin,
-            completion_dispatched: false,
-        });
-    }
-
-    fn packet_arrival(&mut self, sim: &mut Sim<TrafficWorld>, run: usize, idx: usize) {
-        let len = self.msgs[run].packets[idx].len;
-        let inbound = self.params.nic_passthrough + self.params.nicmem_copy_time(len);
-        sim.schedule_in(inbound, move |w, s| w.her_ready(s, run, idx));
-    }
-
-    fn her_ready(&mut self, sim: &mut Sim<TrafficWorld>, run: usize, idx: usize) {
-        let st = &self.msgs[run];
-        let seq = st.packets[idx].seq;
-        let vhpu = st.proc.policy().vhpu_of(seq);
-        let hint = self.rss.hpu_for(flow_hash(st.tenant, st.flow));
-        self.sched.enqueue((run, vhpu), idx, hint);
-        self.try_dispatch(sim);
-    }
-
-    fn try_dispatch(&mut self, sim: &mut Sim<TrafficWorld>) {
-        while let Some(d) = self.sched.next_dispatch() {
-            let (key, idx, hpu) = (d.key, d.pkt, d.hpu);
-            let dispatch = self.params.sched_dispatch;
-            sim.schedule_in(dispatch, move |w, s| w.run_handler(s, key, idx, hpu));
-        }
-    }
-
-    fn run_handler(
-        &mut self,
-        sim: &mut Sim<TrafficWorld>,
-        key: (usize, u64),
-        idx: usize,
-        hpu: usize,
-    ) {
-        let (run, vhpu) = key;
-        let st = &mut self.msgs[run];
-        let hdr = st.packets[idx].hdr;
-        let mut ctx = nca_spin::handler::PacketCtx {
-            payload: &st.packets[idx].payload,
-            stream_offset: hdr.offset,
-            seq: hdr.seq,
-            npkt: st.packets.len() as u64,
-            vhpu,
-            now: sim.now(),
-            direct: None,
-        };
-        let out = st.proc.on_payload(&mut ctx);
-        let runtime = out.cost.total();
-        // Track the span by *physical* HPU — the busy resource the
-        // utilization block reports on (vHPUs are per-message virtual).
-        // dFCFS dispatches carry a real HPU binding; the pool
-        // disciplines carry `hpu == 0` (anonymous free count), so pick
-        // the lowest slot free at dispatch — handlers are
-        // non-preemptive with runtime known up front, so slot occupancy
-        // is a pure function of sim time and stays deterministic.
-        let now = sim.now();
-        let slot = if self.params.discipline == QueueDiscipline::DFcfs {
-            hpu
-        } else {
-            let s = self
-                .hpu_busy_until
-                .iter()
-                .position(|&free_at| free_at <= now)
-                .unwrap_or(0);
-            self.hpu_busy_until[s] = now + runtime;
-            s
-        };
-        self.tel
-            .span("traffic", "handler", slot as u64, now, now + runtime);
-        sim.schedule_in(runtime, move |w, s| w.handler_done(s, key, hpu, out.dma));
-    }
-
-    fn handler_done(
-        &mut self,
-        sim: &mut Sim<TrafficWorld>,
-        key: (usize, u64),
-        hpu: usize,
-        dma: Vec<DmaWrite>,
-    ) {
-        let (run, _) = key;
-        for w in dma {
-            self.enqueue_dma(sim, run, w);
-        }
-        self.sched.done(key, hpu);
-        self.msgs[run].pending_payload -= 1;
-        if self.msgs[run].pending_payload == 0 && !self.msgs[run].completion_dispatched {
-            self.msgs[run].completion_dispatched = true;
-            let dispatch = self.params.sched_dispatch;
-            sim.schedule_in(dispatch, move |w, s| {
-                let out = w.msgs[run].proc.on_completion();
-                let runtime = out.cost.total();
-                s.schedule_in(runtime, move |w2, s2| {
-                    for wr in out.dma {
-                        w2.enqueue_dma(s2, run, wr);
-                    }
-                });
-            });
-        }
-        self.try_dispatch(sim);
-    }
-
-    fn enqueue_dma(&mut self, sim: &mut Sim<TrafficWorld>, run: usize, w: DmaWrite) {
-        self.dma_queue.push(sim.now(), (run, w));
-        self.tel.gauge(
-            "traffic",
-            "dma_queue",
-            0,
-            sim.now(),
-            self.dma_queue.len() as f64,
-        );
-        self.kick_dma(sim);
-    }
-
-    fn kick_dma(&mut self, sim: &mut Sim<TrafficWorld>) {
-        while let Some(chan) = self.dma_chan_busy.iter().position(|&b| !b) {
-            if let Some((_, front)) = self.dma_queue.front() {
-                // Event writes must not overtake in-flight data writes.
-                if front.event && self.dma_chan_busy.iter().any(|&b| b) {
-                    return;
-                }
-            }
-            let Some((run, w)) = self.dma_queue.pop(sim.now()) else {
-                return;
-            };
-            self.dma_chan_busy[chan] = true;
-            let service = self.params.dma_service_time(w.len);
-            let landing = self.params.pcie_latency;
-            self.tel.gauge(
-                "traffic",
-                "dma_queue",
-                0,
-                sim.now(),
-                self.dma_queue.len() as f64,
-            );
-            self.tel.span(
-                "traffic",
-                "dma_chan",
-                chan as u64,
-                sim.now(),
-                sim.now() + service,
-            );
-            sim.schedule_in(service, move |world, s| {
-                world.dma_chan_busy[chan] = false;
-                s.schedule_in(landing, move |w2, s2| {
-                    let t = s2.now();
-                    w2.dma_landed(t, run, &w);
-                });
-                world.kick_dma(s);
-            });
-        }
-    }
-
-    fn dma_landed(&mut self, t: Time, run: usize, w: &DmaWrite) {
-        let st = &mut self.msgs[run];
-        if !w.data.is_empty() {
-            let _phase = nca_sim::profile::enter(nca_sim::profile::Phase::DmaCopy);
-            let start = (w.host_off - st.host_origin) as usize;
-            st.host_buf[start..start + w.data.len()].copy_from_slice(&w.data);
-        }
-        if w.event {
-            self.complete(t, run);
-        }
-    }
-
-    fn complete(&mut self, t: Time, run: usize) {
-        let st = &mut self.msgs[run];
-        let c = &self.cache[st.wl];
-        if self.verify && st.host_buf != c.expect {
-            self.byte_exact = false;
-        }
-        let stats = &mut self.stats[st.tenant];
+        let bytes = c.packed.len() as u64;
+        let stats = &mut fe.stats[a.tenant];
         stats.completed += 1;
-        stats.bytes_completed += c.packed.len() as u64;
-        stats.latency.record(t.saturating_sub(st.offered_at));
-        self.inflight_bytes -= c.packed.len() as u64;
-        self.tel
-            .counter("traffic", "completed", st.tenant as u64, t, 1);
-        self.t_end = self.t_end.max(t);
+        stats.bytes_completed += bytes;
+        stats.latency.record(t.saturating_sub(a.arrival_ps));
+        fe.inflight_bytes -= bytes;
+        nic.tel
+            .counter("traffic", "completed", a.tenant as u64, t, 1);
+        fe.t_end = fe.t_end.max(t);
         // The buffer and packets are dead weight from here; a soak run
-        // admits tens of thousands of messages.
-        st.host_buf = Vec::new();
+        // admits tens of thousands of messages. The buffer bypasses the
+        // arena: it was calloc-backed, and only touched pages count.
+        drop(std::mem::take(&mut st.host_buf).into_vec());
         st.packets = Vec::new();
+        st.handler_costs = Vec::new();
     }
+}
+
+/// Offer `attempt` of scheduled message `sched_idx` (an event body).
+fn offer(nic: &mut Nic<Traffic>, sim: &mut Sim<Nic<Traffic>>, sched_idx: u64, attempt: u64) {
+    let attempt = attempt as u32;
+    let fe = &mut nic.fe;
+    let m = fe.schedule[sched_idx as usize];
+    let wl = fe.mix_slot[m.tenant][m.mix_idx];
+    let bytes = fe.cache[wl].packed.len() as u64;
+    let now = sim.now();
+    if fe.inflight_bytes + bytes > nic.params.pkt_buffer_bytes {
+        // Admission rejection: the NIC's packet buffer cannot hold
+        // another in-flight message. Back off and re-offer.
+        fe.stats[m.tenant].dropped += 1;
+        nic.tel
+            .counter("traffic", "dropped", m.tenant as u64, now, 1);
+        if attempt < fe.rel.max_retries {
+            fe.stats[m.tenant].retried += 1;
+            let jitter = fe
+                .jitter_src
+                .jitter(sched_idx, 0, attempt, fe.rel.rto_jitter);
+            let at = now + fe.rel.backoff(attempt) + jitter;
+            sim.schedule_call(at, offer, sched_idx, (attempt + 1).into());
+        } else {
+            fe.stats[m.tenant].lost += 1;
+            nic.tel.counter("traffic", "lost", m.tenant as u64, now, 1);
+        }
+        return;
+    }
+    // Admit: build the strategy and packetize under the message handle.
+    let c = &fe.cache[wl];
+    let proc = fe.strategies[m.tenant].build(
+        &c.dt,
+        c.count,
+        nic.params.clone(),
+        fe.epsilon,
+        Telemetry::disabled(),
+    );
+    let run = nic.msgs.len();
+    let packets = packetize_wire(run as u64, &c.packed, nic.params.payload_size);
+    let host_buf = PooledBuf::from_vec(vec![0; c.span as usize]);
+    let origin = c.origin;
+    fe.inflight_bytes += bytes;
+    fe.stats[m.tenant].admitted += 1;
+    fe.admitted.push(sched_idx as usize);
+    nic.tel
+        .counter("traffic", "admitted", m.tenant as u64, now, 1);
+    let inflight = fe.inflight_bytes as f64;
+    nic.tel.gauge("traffic", "inflight_bytes", 0, now, inflight);
+    // Serialize onto the shared ingress link FIFO from now (or from
+    // whenever the link frees up).
+    let mut begin = fe.link_free.max(now);
+    for (i, pkt) in packets.iter().enumerate() {
+        let end = begin + nic.params.pkt_wire_time(pkt.len);
+        Nic::schedule_arrival(sim, end + nic.params.net_latency, run, i);
+        begin = end;
+    }
+    fe.link_free = begin;
+    nic.admit(packets, proc, host_buf, origin);
 }
 
 /// Run one traffic cell to completion (no trace).
@@ -585,7 +393,8 @@ pub fn run_traffic(cfg: &TrafficConfig) -> TrafficRunResult {
 /// gauges, per-tenant admission counters and an end-of-run `latency_ps`
 /// histogram per tenant (track = tenant index). Attach a
 /// `StreamingRecorder` to keep the capture bounded-memory however long
-/// the run is; results are identical to [`run_traffic`] either way.
+/// the run is; results are identical to [`run_traffic`] either way
+/// (tracing selects the event-driven DMA engine, [`EngineMode::Auto`]).
 pub fn run_traffic_with(cfg: &TrafficConfig, tel: &Telemetry) -> TrafficRunResult {
     assert!(!cfg.tenants.is_empty(), "at least one tenant");
     // Instantiate each distinct workload once, shared across tenants.
@@ -624,13 +433,16 @@ pub fn run_traffic_with(cfg: &TrafficConfig, tel: &Telemetry) -> TrafficRunResul
     let mut stats: Vec<TenantStats> = cfg
         .tenants
         .iter()
-        .map(|t| TenantStats::new(&t.name))
+        .map(|t| TenantStats {
+            name: t.name.clone(),
+            ..TenantStats::default()
+        })
         .collect();
     for m in &schedule {
         stats[m.tenant].offered += 1;
     }
-    let mut world = TrafficWorld {
-        params: cfg.params.clone(),
+    let offers = schedule.len();
+    let fe = Traffic {
         rel: cfg.reliability.clone(),
         jitter_src: FaultInjector::new(FaultSpec::inert().with_seed(splitmix64(cfg.seed ^ 0x7261))),
         epsilon: cfg.epsilon,
@@ -638,36 +450,35 @@ pub fn run_traffic_with(cfg: &TrafficConfig, tel: &Telemetry) -> TrafficRunResul
         cache,
         mix_slot,
         strategies: cfg.tenants.iter().map(|t| t.strategy).collect(),
-        schedule: schedule.clone(),
+        schedule,
         rss: IndirectionTable::new(cfg.rss_entries, cfg.params.hpus),
-        msgs: Vec::new(),
-        sched: Scheduler::new(cfg.params.discipline, cfg.params.hpus),
+        admitted: Vec::new(),
+        discipline: cfg.params.discipline,
         hpu_busy_until: vec![0; cfg.params.hpus.max(1)],
-        dma_queue: TrackedFifo::new(false),
-        dma_chan_busy: vec![false; cfg.params.dma_channels.max(1)],
         link_free: 0,
         inflight_bytes: 0,
         stats,
         byte_exact: true,
         t_end: cfg.horizon_ps,
-        tel: tel.clone(),
     };
-    let mut sim: Sim<TrafficWorld> = Sim::new();
-    for (i, m) in schedule.iter().enumerate() {
-        let at = m.arrival_ps;
-        sim.schedule(at, move |w, s| w.offer(s, i, 0));
+    let eager = EngineMode::Auto.is_eager(tel.is_enabled());
+    let mut nic = Nic::new(cfg.params.clone(), tel.clone(), eager, false, fe);
+    let mut sim: Sim<Nic<Traffic>> = Sim::new();
+    for i in 0..offers {
+        sim.schedule_call(nic.fe.schedule[i].arrival_ps, offer, i as u64, 0);
     }
-    sim.run(&mut world);
-    debug_assert_eq!(world.inflight_bytes, 0, "all admitted work must drain");
-    for (t, st) in world.stats.iter().enumerate() {
+    sim.run(&mut nic);
+    let fe = nic.fe;
+    debug_assert_eq!(fe.inflight_bytes, 0, "all admitted work must drain");
+    for (t, st) in fe.stats.iter().enumerate() {
         if st.latency.count() > 0 {
-            tel.histogram("traffic", "latency_ps", t as u64, world.t_end, &st.latency);
+            tel.histogram("traffic", "latency_ps", t as u64, fe.t_end, &st.latency);
         }
     }
     TrafficRunResult {
-        tenants: world.stats,
-        byte_exact: world.byte_exact,
-        t_end: world.t_end,
+        tenants: fe.stats,
+        byte_exact: fe.byte_exact,
+        t_end: fe.t_end,
     }
 }
 
