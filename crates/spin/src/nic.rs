@@ -298,7 +298,6 @@ struct Single {
     match_bits: u64,
     path: MsgPath,
     arrived: u64,
-    msg_bytes: u64,
     events: EventQueue,
     /// Reliable-delivery state; `None` on a lossless network.
     rel: Option<RelState>,
@@ -351,7 +350,7 @@ impl FrontEnd for Single {
                         w.fe.events.post(FullEvent {
                             kind,
                             msg_id: hdr.msg_id,
-                            size: w.fe.msg_bytes,
+                            size: w.msgs[m].packets.iter().map(|p| p.len).sum(),
                             time: s.now(),
                         });
                         w.enqueue_dma(s, m, DmaWrite::completion_signal());
@@ -548,7 +547,6 @@ impl ReceiveSim {
             match_bits: cfg.portals.as_ref().map(|p| p.match_bits).unwrap_or(0),
             path: MsgPath::Spin,
             arrived: 0,
-            msg_bytes: packed.len() as u64,
             events: EventQueue::new(),
             rel: faulty.then(|| RelState {
                 injector: FaultInjector::new(cfg.faults),
@@ -608,7 +606,7 @@ impl ReceiveSim {
         let dma = &mut nic.dma;
         RunReport {
             strategy: strategy_name,
-            msg_bytes: nic.fe.msg_bytes,
+            msg_bytes: packed.len() as u64,
             npkt,
             t_first_byte,
             t_complete,

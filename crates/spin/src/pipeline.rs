@@ -145,7 +145,8 @@ pub struct Nic<F> {
     hist_handler: LogHistogram,
     hist_queue_wait: LogHistogram,
     hist_dma: LogHistogram,
-    /// Static NIC-memory footprint of the messages not yet complete.
+    /// Static NIC-memory footprint of the admitted messages (read by
+    /// the traced NIC-memory gauge only).
     nic_mem: u64,
     /// Payload bytes resident in NIC memory (landed by the inbound
     /// engine, not yet consumed by a handler) and their peak.
@@ -219,7 +220,11 @@ impl<F: FrontEnd> Nic<F> {
         host_buf: PooledBuf,
         host_origin: i64,
     ) -> usize {
-        self.nic_mem += proc.nic_mem_bytes();
+        if self.stage.is_enabled() {
+            // Some strategies size their footprint by walking the
+            // dataloop; untraced runs never read it.
+            self.nic_mem += proc.nic_mem_bytes();
+        }
         self.msgs.push(Msg {
             pending_payload: packets.len() as u64,
             handler_costs: Vec::with_capacity(packets.len()),
@@ -524,7 +529,6 @@ impl<F: FrontEnd> Nic<F> {
     fn complete(&mut self, m: usize, t: Time) {
         // The message is fully in its receive buffer.
         self.msgs[m].t_complete = Some(t);
-        self.nic_mem -= self.msgs[m].proc.nic_mem_bytes();
         self.stage.instant("spin", "message_complete", m as u64, t);
         F::complete(self, m, t);
     }
