@@ -132,9 +132,11 @@ pub fn run_concurrent_traced(
     let eager = EngineMode::Auto.is_eager(tel.is_enabled());
     let mut nic = Nic::new(params.clone(), tel, eager, false, Concurrent);
     let mut starts = Vec::with_capacity(specs.len());
+    let mut names = Vec::with_capacity(specs.len());
     for (i, spec) in specs.into_iter().enumerate() {
         let packets = packetize_wire(i as u64, &spec.packed, params.payload_size);
         let host_buf = PooledBuf::from_vec(vec![0; spec.host_span as usize]);
+        names.push(spec.proc.name());
         nic.admit(packets, spec.proc, host_buf, spec.host_origin);
         starts.push(spec.start_time);
     }
@@ -159,8 +161,9 @@ pub fn run_concurrent_traced(
     nic.msgs
         .into_iter()
         .zip(t_first_byte)
-        .map(|(st, t_first_byte)| MessageReport {
-            strategy: st.proc.name(),
+        .zip(names)
+        .map(|((st, t_first_byte), strategy)| MessageReport {
+            strategy,
             msg_bytes: st.packets.iter().map(|p| p.len).sum(),
             t_first_byte,
             t_complete: st.t_complete.unwrap_or(0),

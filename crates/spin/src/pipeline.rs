@@ -73,8 +73,9 @@ pub trait FrontEnd: Sized + 'static {
 pub struct Msg {
     /// The message's packets, indexed by the arrival handle.
     pub packets: Vec<Packet>,
-    /// The receive strategy.
-    pub(crate) proc: Box<dyn MessageProcessor>,
+    /// The receive strategy, dropped once its completion handler ran
+    /// (an open-loop run keeps every message's state until the end).
+    proc: Option<Box<dyn MessageProcessor>>,
     /// The receive buffer (index 0 ↔ `host_origin`).
     pub host_buf: PooledBuf,
     /// Receive-buffer offset of index 0.
@@ -85,6 +86,14 @@ pub struct Msg {
     pub(crate) t_complete: Option<Time>,
     pending_payload: u64,
     completion_dispatched: bool,
+}
+
+const LIVE: &str = "a strategy lives until its completion handler runs";
+
+impl Msg {
+    fn strategy(&mut self) -> &mut dyn MessageProcessor {
+        self.proc.as_deref_mut().expect(LIVE)
+    }
 }
 
 pub(crate) struct DmaEngine {
@@ -229,7 +238,7 @@ impl<F: FrontEnd> Nic<F> {
             pending_payload: packets.len() as u64,
             handler_costs: Vec::with_capacity(packets.len()),
             packets,
-            proc,
+            proc: Some(proc),
             host_buf,
             host_origin,
             t_complete: None,
@@ -285,7 +294,7 @@ impl<F: FrontEnd> Nic<F> {
         self.resident_payload += pkt.len;
         self.resident_hwm = self.resident_hwm.max(self.resident_payload);
         self.nic_mem_gauge(sim.now());
-        let vhpu = self.msgs[m].proc.policy().vhpu_of(seq);
+        let vhpu = self.msgs[m].strategy().policy().vhpu_of(seq);
         if self.stage.is_enabled() {
             self.enq_time.insert((m, idx), sim.now());
         }
@@ -335,7 +344,7 @@ impl<F: FrontEnd> Nic<F> {
             now,
             direct,
         };
-        let out = st.proc.on_payload(&mut ctx);
+        let out = st.proc.as_mut().expect(LIVE).on_payload(&mut ctx);
         st.handler_costs.push(out.cost);
         let runtime = out.cost.total();
         if self.stage.is_enabled() {
@@ -368,18 +377,14 @@ impl<F: FrontEnd> Nic<F> {
         }
         let st = &mut self.msgs[m];
         // Hand the emptied scratch vector back to the strategy so the
-        // next handler invocation reuses its capacity — while one is
-        // still to start: a strategy outliving its message (the traffic
-        // front end keeps them all) must not pin dead capacity.
-        if st.handler_costs.len() < st.packets.len() {
-            st.proc.recycle_dma(dma);
-        }
+        // next handler invocation reuses its capacity.
+        st.strategy().recycle_dma(dma);
         self.sched.done(pack2(m, vhpu), hpu);
         st.pending_payload -= 1;
         if st.pending_payload == 0 && !st.completion_dispatched {
             st.completion_dispatched = true;
             sim.schedule_in(self.params.sched_dispatch, move |nic, s| {
-                let out = nic.msgs[m].proc.on_completion();
+                let out = nic.msgs[m].proc.take().expect(LIVE).on_completion();
                 s.schedule_in(out.cost.total(), move |nic, s| {
                     for w in out.dma {
                         nic.enqueue_dma(s, m, w);
