@@ -85,7 +85,6 @@ pub struct Msg {
     /// Landing time of the completion write.
     pub(crate) t_complete: Option<Time>,
     pending_payload: u64,
-    completion_dispatched: bool,
 }
 
 const LIVE: &str = "a strategy lives until its completion handler runs";
@@ -242,7 +241,6 @@ impl<F: FrontEnd> Nic<F> {
             host_buf,
             host_origin,
             t_complete: None,
-            completion_dispatched: false,
         });
         self.msgs.len() - 1
     }
@@ -381,8 +379,9 @@ impl<F: FrontEnd> Nic<F> {
         st.strategy().recycle_dma(dma);
         self.sched.done(pack2(m, vhpu), hpu);
         st.pending_payload -= 1;
-        if st.pending_payload == 0 && !st.completion_dispatched {
-            st.completion_dispatched = true;
+        if st.pending_payload == 0 {
+            // Every payload handler finished: the completion handler
+            // runs next, then the strategy is dropped.
             sim.schedule_in(self.params.sched_dispatch, move |nic, s| {
                 let out = nic.msgs[m].proc.take().expect(LIVE).on_completion();
                 s.schedule_in(out.cost.total(), move |nic, s| {
