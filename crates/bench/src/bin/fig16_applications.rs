@@ -4,5 +4,5 @@
 fn main() {
     let quick = nca_bench::quick_from_env_args();
     let pool = nca_bench::pool_from_env_args();
-    nca_bench::figures::fig16::print_on(quick, &pool);
+    nca_scenario::fig16::print_on(quick, &pool);
 }

@@ -17,7 +17,7 @@
 //! | Fig. 13 | [`figures::fig13`] | `fig13_scalability` |
 //! | Fig. 14 | [`figures::fig14`] | `fig14_dma_queue` |
 //! | Fig. 15 | [`figures::fig15`] | `fig15_dma_timeline` |
-//! | Fig. 16 | [`figures::fig16`] | `fig16_applications` |
+//! | Fig. 16 | [`nca_scenario::fig16`] | `fig16_applications` |
 //! | Fig. 17 | [`figures::fig17`] | `fig17_memory_traffic` |
 //! | Fig. 18 | [`figures::fig18`] | `fig18_amortization` |
 //! | Fig. 19 | [`figures::fig19`] | `fig19_fft2d_scaling` |

@@ -5,7 +5,7 @@
 //!
 //! Lives in the scenario crate so `ncmt_cli run scenarios/fig16.json`
 //! and the `fig16_applications` binary render the one table from one
-//! implementation; `nca_bench::figures::fig16` re-exports everything.
+//! implementation.
 
 use std::fmt::Write;
 
