@@ -21,7 +21,7 @@
 //! other, for invariants that a single-bench threshold cannot express
 //! (the parallel sweep must beat the serial sweep).
 
-use nca_telemetry::report::Json;
+use nca_telemetry::json::Json;
 
 /// One tracked benchmark from a baseline document.
 #[derive(Debug, Clone, PartialEq)]

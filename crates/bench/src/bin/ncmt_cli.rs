@@ -33,8 +33,9 @@ use nca_sim::{profile, FaultSpec, Pool};
 use nca_spin::nic::EngineMode;
 use nca_spin::params::NicParams;
 use nca_spin::sched::QueueDiscipline;
+use nca_telemetry::json::Json;
 use nca_telemetry::report::{
-    diff_reports, Json, ProfileDoc, ProfilePhase, ProfileWorker, DEFAULT_THRESHOLD,
+    diff_reports, ProfileDoc, ProfilePhase, ProfileWorker, DEFAULT_THRESHOLD,
 };
 use nca_traffic::{app_group, ArrivalKind, APP_GROUPS};
 use nca_workloads::apps::all_workloads;

@@ -5,8 +5,9 @@
 use std::collections::BTreeMap;
 use std::process::Command;
 
+use nca_telemetry::json::Json;
 use nca_telemetry::report::{
-    HistSummary, Json, ModelValidation, ReportConfig, RunReportDoc, StrategyReport,
+    HistSummary, ModelValidation, ReportConfig, RunReportDoc, StrategyReport,
 };
 
 const CLI: &str = env!("CARGO_BIN_EXE_ncmt_cli");
@@ -257,4 +258,34 @@ fn report_diff_exits_nonzero_on_a_seeded_regression() {
     for p in [&base, &worse, &junk] {
         let _ = std::fs::remove_file(p);
     }
+}
+
+#[test]
+fn deeply_nested_input_is_rejected_with_exit_two() {
+    // Far past the parser's depth bound: must be an error, not a stack
+    // overflow (which aborts with a signal instead of exiting 2).
+    let deep = tmp_path("deep.json");
+    std::fs::write(
+        &deep,
+        format!("{}{}", "[".repeat(50_000), "]".repeat(50_000)),
+    )
+    .unwrap();
+    let run = Command::new(CLI)
+        .arg("run")
+        .arg(&deep)
+        .output()
+        .expect("run ncmt_cli");
+    let stderr = String::from_utf8_lossy(&run.stderr);
+    assert_eq!(run.status.code(), Some(2), "run: {stderr}");
+    assert!(stderr.contains("nesting deeper"), "run: {stderr}");
+    let diff = Command::new(CLI)
+        .arg("report-diff")
+        .arg(&deep)
+        .arg(&deep)
+        .output()
+        .expect("run report-diff");
+    let stderr = String::from_utf8_lossy(&diff.stderr);
+    assert_eq!(diff.status.code(), Some(2), "report-diff: {stderr}");
+    assert!(stderr.contains("nesting deeper"), "report-diff: {stderr}");
+    let _ = std::fs::remove_file(&deep);
 }

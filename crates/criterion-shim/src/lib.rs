@@ -40,6 +40,11 @@ use std::path::{Path, PathBuf};
 use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
+use nca_telemetry::json::{
+    self,
+    Layout::{Block, Line},
+};
+
 /// Re-export of [`std::hint::black_box`] under criterion's name.
 pub fn black_box<T>(x: T) -> T {
     std_black_box(x)
@@ -304,27 +309,6 @@ fn json_entries() -> &'static Mutex<BTreeMap<PathBuf, Vec<JsonEntry>>> {
     MAP.get_or_init(|| Mutex::new(BTreeMap::new()))
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn json_f64(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x}")
-    } else {
-        "0".to_string()
-    }
-}
-
 /// Append one benchmark's stats to the JSON mirror of `baseline` under
 /// `dir` and rewrite the whole document. Mirrors the TSV lifecycle: the
 /// first save per file in this process starts a fresh entry list.
@@ -345,39 +329,31 @@ pub fn save_baseline_json_entry(
         stats: *s,
         throughput,
     });
-    let mut doc = String::new();
-    doc.push_str("{\n");
-    doc.push_str("  \"kind\": \"nca-criterion-baseline\",\n");
-    doc.push_str("  \"version\": 1,\n");
-    doc.push_str(&format!("  \"baseline\": \"{}\",\n", json_escape(baseline)));
-    doc.push_str("  \"benches\": [\n");
-    for (i, e) in entries.iter().enumerate() {
-        let mut line = format!(
-            "    {{\"name\": \"{}\", \"mean_ns\": {}, \"p50_ns\": {}, \"p95_ns\": {}",
-            json_escape(&e.name),
-            json_f64(e.stats.mean),
-            json_f64(e.stats.p50),
-            json_f64(e.stats.p95)
-        );
-        if let Some(tp) = e.throughput {
-            let (amount, unit) = match tp {
-                Throughput::Bytes(n) => (n, "bytes"),
-                Throughput::Elements(n) => (n, "elements"),
-            };
-            let per_sec = amount as f64 / (e.stats.mean / 1e9);
-            line.push_str(&format!(
-                ", \"unit\": \"{unit}\", \"per_iter\": {amount}, \"per_sec\": {}",
-                json_f64(per_sec)
-            ));
-        }
-        line.push('}');
-        if i + 1 < entries.len() {
-            line.push(',');
-        }
-        doc.push_str(&line);
-        doc.push('\n');
-    }
-    doc.push_str("  ]\n}\n");
+    let doc = json::document(|w| {
+        w.field("kind", "nca-criterion-baseline")
+            .field("version", 1u64)
+            .field("baseline", baseline)
+            .key("benches")
+            .array(Block, |w| {
+                for e in entries.iter() {
+                    w.object(Line, |w| {
+                        w.field("name", &e.name)
+                            .field("mean_ns", e.stats.mean)
+                            .field("p50_ns", e.stats.p50)
+                            .field("p95_ns", e.stats.p95);
+                        if let Some(tp) = e.throughput {
+                            let (amount, unit) = match tp {
+                                Throughput::Bytes(n) => (n, "bytes"),
+                                Throughput::Elements(n) => (n, "elements"),
+                            };
+                            w.field("unit", unit)
+                                .field("per_iter", amount)
+                                .field("per_sec", amount as f64 / (e.stats.mean / 1e9));
+                        }
+                    });
+                }
+            });
+    });
     std::fs::write(&path, doc)
 }
 

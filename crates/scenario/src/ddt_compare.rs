@@ -13,9 +13,9 @@ use nca_ddt::dataloop::compile_cached;
 use nca_ddt::pack::{buffer_span, pack, unpack};
 use nca_ddt::typemap::for_each_block;
 use nca_sim::Pool;
+use nca_telemetry::json::{self, Layout::Block};
+use nca_telemetry::json_object;
 use nca_workloads::apps::all_workloads;
-
-use crate::schema::{esc, fmt_f64};
 
 /// One application workload compared across the two unpack paths.
 #[derive(Debug, Clone, PartialEq)]
@@ -61,33 +61,17 @@ impl DdtCompareDoc {
 
     /// Render the document as pretty-printed JSON.
     pub fn to_json(&self) -> String {
-        let mut o = String::from("{\n");
-        let _ = writeln!(o, "  \"kind\": \"{}\",", Self::KIND);
-        let _ = writeln!(o, "  \"version\": {},", self.version);
-        o.push_str("  \"rows\": [\n");
-        for (i, r) in self.rows.iter().enumerate() {
-            let _ = writeln!(o, "    {{");
-            let _ = writeln!(o, "      \"label\": \"{}\",", esc(&r.label));
-            let _ = writeln!(o, "      \"class\": \"{}\",", esc(r.class));
-            let _ = writeln!(o, "      \"msg_bytes\": {},", r.msg_bytes);
-            let _ = writeln!(o, "      \"blocks\": {},", r.blocks);
-            let _ = writeln!(o, "      \"elements\": {},", r.elements);
-            let _ = writeln!(o, "      \"byte_exact\": {},", r.byte_exact);
-            let _ = writeln!(o, "      \"engine_ps\": {},", r.engine_ps);
-            let _ = writeln!(o, "      \"manual_ps\": {},", r.manual_ps);
-            let _ = writeln!(o, "      \"engine_gbit\": {},", fmt_f64(r.engine_gbit));
-            let _ = writeln!(o, "      \"manual_gbit\": {},", fmt_f64(r.manual_gbit));
-            let _ = writeln!(o, "      \"ratio\": {}", fmt_f64(r.ratio));
-            let _ = writeln!(
-                o,
-                "    }}{}",
-                if i + 1 < self.rows.len() { "," } else { "" }
-            );
-        }
-        o.push_str("  ]\n}\n");
-        o
+        json::document(|w| {
+            w.field("kind", Self::KIND)
+                .field("version", self.version)
+                .key("rows")
+                .list(Block, &self.rows);
+        })
     }
 }
+
+json_object!(CompareRow; label, class, msg_bytes, blocks, elements, byte_exact, engine_ps,
+    manual_ps, engine_gbit, manual_gbit, ratio);
 
 fn throughput_gbit(bytes: u64, ps: u64) -> f64 {
     if ps == 0 {
@@ -212,14 +196,14 @@ mod tests {
             version: DdtCompareDoc::VERSION,
             rows: rows_filtered(Some(64), &Pool::serial()),
         };
-        let v = nca_telemetry::report::Json::parse(&doc.to_json()).expect("valid JSON");
+        let v = nca_telemetry::json::Json::parse(&doc.to_json()).expect("valid JSON");
         assert_eq!(
-            v.get("kind").and_then(nca_telemetry::report::Json::as_str),
+            v.get("kind").and_then(nca_telemetry::json::Json::as_str),
             Some(DdtCompareDoc::KIND)
         );
         let rows = v
             .get("rows")
-            .and_then(nca_telemetry::report::Json::as_arr)
+            .and_then(nca_telemetry::json::Json::as_arr)
             .expect("rows array");
         assert_eq!(rows.len(), doc.rows.len());
     }

@@ -55,6 +55,16 @@ mod tests {
     }
 
     #[test]
+    fn escaped_surrogate_pair_names_round_trip() {
+        // Python's json.dump escapes non-ASCII text by default, writing
+        // astral characters such as emoji as UTF-16 surrogate pairs.
+        let text = r#"{ "name": "run \ud83d\ude00", "version": 1, "kind": "fig16" }"#;
+        let scn = parse_scenario(text).unwrap();
+        assert_eq!(scn.name, "run \u{1f600}");
+        assert_eq!(parse_scenario(&scn.to_json()).unwrap(), scn);
+    }
+
+    #[test]
     fn unknown_top_level_key_is_rejected_with_its_path() {
         let err =
             parse_scenario(r#"{ "name": "x", "version": 1, "kind": "fig16", "workloads": {} }"#)

@@ -1,5 +1,5 @@
 //! Strict hand-rolled scenario parser over the in-tree
-//! [`Json`](nca_telemetry::report::Json) value. Unknown keys are hard
+//! [`Json`](nca_telemetry::json::Json) value. Unknown keys are hard
 //! errors that name the offending path (`scenario.traffic.loadz:
 //! unknown key`), wrong types name the path and the expectation, and
 //! enum-like strings are validated against the simulator's own
@@ -9,7 +9,7 @@
 use nca_core::runner::Strategy;
 use nca_spin::nic::EngineMode;
 use nca_spin::sched::QueueDiscipline;
-use nca_telemetry::report::Json;
+use nca_telemetry::json::Json;
 use nca_traffic::{app_group, ArrivalKind};
 
 use crate::schema::{

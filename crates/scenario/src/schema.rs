@@ -7,11 +7,14 @@
 //! scenario value round-trips exactly through [`Scenario::to_json`]
 //! and [`crate::parse_scenario`].
 
-use std::fmt::Write;
-
 use nca_core::runner::Strategy;
 use nca_spin::nic::EngineMode;
 use nca_spin::sched::QueueDiscipline;
+use nca_telemetry::json::{
+    self,
+    Layout::{Block, Line, Spaced},
+};
+use nca_telemetry::json_fields;
 use nca_traffic::ArrivalKind;
 
 /// Schema version this build reads and writes.
@@ -267,166 +270,74 @@ impl Scenario {
 
 // ---------------------------------------------------------------- JSON out
 
-pub(crate) fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-pub(crate) fn fmt_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "0".to_string() // NaN/inf are not JSON; parsing treats them as 0
-    }
-}
-
-fn f64_list(vs: &[f64]) -> String {
-    let items: Vec<String> = vs.iter().map(|&v| fmt_f64(v)).collect();
-    format!("[{}]", items.join(", "))
-}
-
-fn str_list(vs: &[String]) -> String {
-    let items: Vec<String> = vs.iter().map(|v| format!("\"{}\"", esc(v))).collect();
-    format!("[{}]", items.join(", "))
-}
-
 impl Scenario {
     /// Render the scenario in canonical form: every section written,
     /// every present field explicit. `parse_scenario(to_json(s)) == s`.
     pub fn to_json(&self) -> String {
-        let mut o = String::from("{\n");
-        let _ = writeln!(o, "  \"name\": \"{}\",", esc(&self.name));
-        let _ = writeln!(o, "  \"version\": {VERSION},");
-        let _ = writeln!(o, "  \"kind\": \"{}\",", self.kind.label());
-        if let Some(w) = &self.workload {
-            o.push_str("  \"workload\": ");
-            match w {
-                WorkloadSpec::Vector {
-                    count,
-                    blocklen,
-                    stride,
-                } => {
-                    let _ = writeln!(
-                        o,
-                        "{{ \"kind\": \"vector\", \"count\": {count}, \
-                         \"blocklen\": {blocklen}, \"stride\": {stride} }},"
-                    );
-                }
-                WorkloadSpec::Indexed {
-                    blocks,
-                    blocklen,
-                    seed,
-                } => {
-                    let _ = writeln!(
-                        o,
-                        "{{ \"kind\": \"indexed\", \"blocks\": {blocks}, \
-                         \"blocklen\": {blocklen}, \"seed\": {seed} }},"
-                    );
-                }
-                WorkloadSpec::App { label } => {
-                    let _ = writeln!(o, "{{ \"kind\": \"app\", \"label\": \"{}\" }},", esc(label));
-                }
-                WorkloadSpec::Apps { max_kib } => match max_kib {
-                    Some(kib) => {
-                        let _ = writeln!(o, "{{ \"kind\": \"apps\", \"max_kib\": {kib} }},");
+        let (f, s, t, sw) = (&self.faults, &self.scheduling, &self.telemetry, &self.sweep);
+        json::document(|w| {
+            w.field("name", &self.name)
+                .field("version", VERSION)
+                .field("kind", self.kind.label());
+            if let Some(workload) = &self.workload {
+                w.key("workload").object(Spaced, |w| match workload {
+                    WorkloadSpec::Vector {
+                        count,
+                        blocklen,
+                        stride,
+                    } => {
+                        json_fields!(w.field("kind", "vector"); count, blocklen, stride);
                     }
-                    None => {
-                        let _ = writeln!(o, "{{ \"kind\": \"apps\" }},");
+                    WorkloadSpec::Indexed {
+                        blocks,
+                        blocklen,
+                        seed,
+                    } => {
+                        json_fields!(w.field("kind", "indexed"); blocks, blocklen, seed);
                     }
-                },
+                    WorkloadSpec::App { label } => {
+                        w.field("kind", "app").field("label", label);
+                    }
+                    WorkloadSpec::Apps { max_kib } => {
+                        w.field("kind", "apps").field_some("max_kib", *max_kib);
+                    }
+                });
             }
-        }
-        let f = &self.faults;
-        let _ = writeln!(
-            o,
-            "  \"faults\": {{ \"drop\": {}, \"duplicate\": {}, \"corrupt\": {}, \
-             \"reorder_ns\": {}, \"seed\": {} }},",
-            fmt_f64(f.drop),
-            fmt_f64(f.duplicate),
-            fmt_f64(f.corrupt),
-            f.reorder_ns,
-            f.seed
-        );
-        let s = &self.scheduling;
-        let ooo = s
-            .out_of_order
-            .map(|v| format!(", \"out_of_order\": {v}"))
-            .unwrap_or_default();
-        let _ = writeln!(
-            o,
-            "  \"scheduling\": {{ \"hpus\": {}, \"epsilon\": {}, \"engine\": \"{}\", \
-             \"copies\": {}{} }},",
-            s.hpus,
-            fmt_f64(s.epsilon),
-            s.engine.label(),
-            s.copies,
-            ooo
-        );
-        let t = &self.telemetry;
-        let mut tel = Vec::new();
-        if let Some(rc) = t.ring_capacity {
-            tel.push(format!("\"ring_capacity\": {rc}"));
-        }
-        if let Some(b) = t.bucket_ps {
-            tel.push(format!("\"bucket_ps\": {b}"));
-        }
-        if tel.is_empty() {
-            let _ = writeln!(o, "  \"telemetry\": {{}},");
-        } else {
-            let _ = writeln!(o, "  \"telemetry\": {{ {} }},", tel.join(", "));
-        }
-        if let Some(t) = &self.traffic {
-            let disciplines: Vec<String> = t
-                .disciplines
-                .iter()
-                .map(|d| format!("\"{}\"", d.label()))
-                .collect();
-            let buffer = t
-                .buffer_kib
-                .map(|v| format!("\n    \"buffer_kib\": {v},"))
-                .unwrap_or_default();
-            let _ = writeln!(
-                o,
-                "  \"traffic\": {{\n    \"apps\": {},\n    \"loads\": {},\n    \
-                 \"disciplines\": [{}],\n    \"tenants\": {},\n    \"strategy\": \"{}\",\n    \
-                 \"arrival\": \"{}\",\n    \"sigma\": {},\n    \"flows_per_tenant\": {},\n    \
-                 \"rss_entries\": {},\n    \"horizon_us\": {},{}\n    \"seed\": {}\n  }},",
-                str_list(&t.apps),
-                f64_list(&t.loads),
-                disciplines.join(", "),
-                t.tenants,
-                t.strategy.label(),
-                t.arrival.label(),
-                fmt_f64(t.sigma),
-                t.flows_per_tenant,
-                t.rss_entries,
-                t.horizon_us,
-                buffer,
-                t.seed
-            );
-        }
-        let sw = &self.sweep;
-        let _ = writeln!(
-            o,
-            "  \"sweep\": {{ \"seeds\": {}, \"seed0\": {}, \"scales\": {} }}",
-            sw.seeds,
-            sw.seed0,
-            f64_list(&sw.scales)
-        );
-        o.push_str("}\n");
-        o
+            w.key("faults").object(Spaced, |w| {
+                json_fields!(w, f; drop, duplicate, corrupt, reorder_ns, seed);
+            });
+            w.key("scheduling").object(Spaced, |w| {
+                w.field("hpus", s.hpus)
+                    .field("epsilon", s.epsilon)
+                    .field("engine", s.engine.label())
+                    .field("copies", s.copies)
+                    .field_some("out_of_order", s.out_of_order);
+            });
+            w.key("telemetry").object(Spaced, |w| {
+                w.field_some("ring_capacity", t.ring_capacity)
+                    .field_some("bucket_ps", t.bucket_ps);
+            });
+            if let Some(t) = &self.traffic {
+                w.key("traffic").object(Block, |w| {
+                    w.key("apps")
+                        .list(Line, &t.apps)
+                        .key("loads")
+                        .list(Line, &t.loads)
+                        .key("disciplines")
+                        .list(Line, t.disciplines.iter().map(|d| d.label()))
+                        .field("tenants", t.tenants)
+                        .field("strategy", t.strategy.label())
+                        .field("arrival", t.arrival.label());
+                    json_fields!(w, t; sigma, flows_per_tenant, rss_entries, horizon_us)
+                        .field_some("buffer_kib", t.buffer_kib)
+                        .field("seed", t.seed);
+                });
+            }
+            w.key("sweep").object(Spaced, |w| {
+                json_fields!(w, sw; seeds, seed0)
+                    .key("scales")
+                    .list(Line, &sw.scales);
+            });
+        })
     }
 }

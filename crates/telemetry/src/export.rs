@@ -13,33 +13,17 @@
 //! * timestamps are microseconds (`ts`), converted from the simulated
 //!   picosecond clock.
 //!
-//! Everything is hand-rendered: the workspace builds offline, so no
-//! serde. Names come from instrumentation call sites but are escaped
-//! anyway.
+//! The JSON goes through [`crate::json`], like every other artifact:
+//! names are escaped and samples follow its number rule, so a non-finite
+//! gauge value is written as `0` rather than as invalid JSON.
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
+use crate::json::Layout::{Rows, Tight};
+use crate::json::{WriteJson, Writer};
 use crate::streaming::StreamAggregate;
 use crate::{EventKind, Time, TraceEvent};
-
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 fn ts_us(t: Time) -> f64 {
     t as f64 / 1e6
@@ -62,144 +46,129 @@ pub fn chrome_trace_json_with_aggregates(
     aggs: &[(&str, &StreamAggregate)],
 ) -> String {
     // Stable pid per (scope, component), in first-appearance order.
+    let series_keys = aggs.iter().flat_map(|&(scope, agg)| {
+        let busy = agg.busy_series_iter().map(|((c, _, _), _)| c);
+        let peak = agg.gauge_peak_iter().map(|((c, _, _), _)| c);
+        busy.chain(peak).map(move |c| (scope, c))
+    });
     let mut pids: HashMap<(&str, &str), u32> = HashMap::new();
     let mut processes: Vec<(&str, &str)> = Vec::new();
-    for ev in events {
-        pids.entry((ev.scope, ev.component)).or_insert_with(|| {
-            processes.push((ev.scope, ev.component));
+    for key in events
+        .iter()
+        .map(|ev| (ev.scope, ev.component))
+        .chain(series_keys)
+    {
+        pids.entry(key).or_insert_with(|| {
+            processes.push(key);
             processes.len() as u32
         });
     }
-    for (scope, agg) in aggs {
-        let series_comps = agg
-            .busy_series_iter()
-            .map(|((c, _, _), _)| c)
-            .chain(agg.gauge_peak_iter().map(|((c, _, _), _)| c));
-        for comp in series_comps {
-            pids.entry((scope, comp)).or_insert_with(|| {
-                processes.push((scope, comp));
-                processes.len() as u32
+
+    let mut w = Writer::with_capacity(128 * events.len());
+    w.array(Rows, |w| {
+        for (i, (scope, component)) in processes.iter().enumerate() {
+            let name = if scope.is_empty() {
+                component.to_string()
+            } else {
+                format!("{scope}/{component}")
+            };
+            w.object(Tight, |w| {
+                w.field("ph", "M")
+                    .field("pid", i + 1)
+                    .field("name", "process_name")
+                    .key("args")
+                    .object(Tight, |w| {
+                        w.field("name", &name);
+                    });
             });
         }
-    }
 
-    let mut out = String::from("[");
-    let mut first = true;
-    let push = |out: &mut String, first: &mut bool, line: String| {
-        if !*first {
-            out.push(',');
-        }
-        *first = false;
-        out.push('\n');
-        out.push_str(&line);
-    };
-
-    for (i, (scope, component)) in processes.iter().enumerate() {
-        let pname = if scope.is_empty() {
-            (*component).to_string()
-        } else {
-            format!("{scope}/{component}")
-        };
-        push(
-            &mut out,
-            &mut first,
-            format!(
-                r#"{{"ph":"M","pid":{},"name":"process_name","args":{{"name":"{}"}}}}"#,
-                i + 1,
-                esc(&pname)
-            ),
-        );
-    }
-
-    // Counter tracks show cumulative totals.
-    let mut totals: HashMap<(&str, &str, &str, u64), u64> = HashMap::new();
-    for ev in events {
-        let pid = pids[&(ev.scope, ev.component)];
-        let name = esc(ev.name);
-        let line = match &ev.kind {
-            EventKind::Span { end } => format!(
-                r#"{{"ph":"X","pid":{pid},"tid":{},"ts":{},"dur":{},"name":"{name}","cat":"{}"}}"#,
-                ev.track,
-                ts_us(ev.time),
-                ts_us(end.saturating_sub(ev.time)),
-                esc(ev.component)
-            ),
-            EventKind::Instant => format!(
-                r#"{{"ph":"i","pid":{pid},"tid":{},"ts":{},"name":"{name}","s":"t"}}"#,
-                ev.track,
-                ts_us(ev.time)
-            ),
-            EventKind::Counter { delta } => {
-                let total = totals
-                    .entry((ev.scope, ev.component, ev.name, ev.track))
-                    .and_modify(|t| *t += delta)
-                    .or_insert(*delta);
-                format!(
-                    r#"{{"ph":"C","pid":{pid},"tid":{},"ts":{},"name":"{name}","args":{{"{name}":{}}}}}"#,
-                    ev.track,
-                    ts_us(ev.time),
-                    total
-                )
-            }
-            EventKind::Gauge { value } | EventKind::Value { value } => format!(
-                r#"{{"ph":"C","pid":{pid},"tid":{},"ts":{},"name":"{name}","args":{{"{name}":{}}}}}"#,
-                ev.track,
-                ts_us(ev.time),
-                value
-            ),
-            // A distribution snapshot renders as one summary counter
-            // sample so Perfetto shows the percentiles on a track.
-            EventKind::Hist { hist } => format!(
-                r#"{{"ph":"C","pid":{pid},"tid":{},"ts":{},"name":"{name}","args":{{"count":{},"p50":{},"p90":{},"p99":{}}}}}"#,
-                ev.track,
-                ts_us(ev.time),
-                hist.count(),
-                hist.percentile_ps(50.0),
-                hist.percentile_ps(90.0),
-                hist.percentile_ps(99.0)
-            ),
-        };
-        push(&mut out, &mut first, line);
-    }
-
-    // Streaming time series: one counter sample per bucket.
-    for (scope, agg) in aggs {
-        let bp = agg.bucket_ps();
-        for ((comp, name, track), series) in agg.busy_series_iter() {
-            let pid = pids[&(*scope, comp)];
-            let tname = format!("{}_busy_frac", esc(name));
-            for (b, &busy) in series.iter().enumerate() {
-                let frac = busy as f64 / bp as f64;
-                push(
-                    &mut out,
-                    &mut first,
-                    format!(
-                        r#"{{"ph":"C","pid":{pid},"tid":{track},"ts":{},"name":"{tname}","args":{{"{tname}":{frac}}}}}"#,
-                        ts_us(b as Time * bp)
-                    ),
-                );
-            }
-        }
-        for ((comp, name, track), series) in agg.gauge_peak_iter() {
-            let pid = pids[&(*scope, comp)];
-            let tname = format!("{}_peak", esc(name));
-            for (b, &peak) in series.iter().enumerate() {
-                if !peak.is_finite() {
-                    continue; // bucket without a sample
+        // Counter tracks show cumulative totals.
+        let mut totals: HashMap<(&str, &str, &str, u64), u64> = HashMap::new();
+        for ev in events {
+            let at = (pids[&(ev.scope, ev.component)], ev.track, ev.time);
+            match &ev.kind {
+                EventKind::Span { end } => event(w, "X", at, |w| {
+                    w.field("dur", ts_us(end.saturating_sub(ev.time)))
+                        .field("name", ev.name)
+                        .field("cat", ev.component);
+                }),
+                EventKind::Instant => event(w, "i", at, |w| {
+                    w.field("name", ev.name).field("s", "t");
+                }),
+                EventKind::Counter { delta } => {
+                    let total = totals
+                        .entry((ev.scope, ev.component, ev.name, ev.track))
+                        .and_modify(|t| *t += delta)
+                        .or_insert(*delta);
+                    sample(w, at, ev.name, *total)
                 }
-                push(
-                    &mut out,
-                    &mut first,
-                    format!(
-                        r#"{{"ph":"C","pid":{pid},"tid":{track},"ts":{},"name":"{tname}","args":{{"{tname}":{peak}}}}}"#,
-                        ts_us(b as Time * bp)
-                    ),
-                );
+                EventKind::Gauge { value } | EventKind::Value { value } => {
+                    sample(w, at, ev.name, *value)
+                }
+                // A distribution snapshot renders as one summary counter
+                // sample so Perfetto shows the percentiles on a track.
+                EventKind::Hist { hist } => event(w, "C", at, |w| {
+                    w.field("name", ev.name).key("args").object(Tight, |w| {
+                        w.field("count", hist.count())
+                            .field("p50", hist.percentile_ps(50.0))
+                            .field("p90", hist.percentile_ps(90.0))
+                            .field("p99", hist.percentile_ps(99.0));
+                    });
+                }),
             }
         }
-    }
-    out.push_str("\n]\n");
-    out
+
+        // Streaming time series: one counter sample per bucket.
+        for (scope, agg) in aggs {
+            let bp = agg.bucket_ps();
+            for ((comp, name, track), series) in agg.busy_series_iter() {
+                let pid = pids[&(*scope, comp)];
+                let tname = format!("{name}_busy_frac");
+                for (b, &busy) in series.iter().enumerate() {
+                    let frac = busy as f64 / bp as f64;
+                    sample(w, (pid, track, b as Time * bp), &tname, frac);
+                }
+            }
+            for ((comp, name, track), series) in agg.gauge_peak_iter() {
+                let pid = pids[&(*scope, comp)];
+                let tname = format!("{name}_peak");
+                for (b, &peak) in series.iter().enumerate() {
+                    // A non-finite peak marks a bucket without a sample.
+                    if peak.is_finite() {
+                        sample(w, (pid, track, b as Time * bp), &tname, peak);
+                    }
+                }
+            }
+        }
+    });
+    w.finish()
+}
+
+/// One trace event at `(pid, tid, time)`: the members every event
+/// starts with, then the ones `rest` writes.
+fn event(
+    w: &mut Writer,
+    ph: &str,
+    (pid, tid, t): (u32, u64, Time),
+    rest: impl FnOnce(&mut Writer),
+) {
+    w.object(Tight, |w| {
+        w.field("ph", ph)
+            .field("pid", pid)
+            .field("tid", tid)
+            .field("ts", ts_us(t));
+        rest(w);
+    });
+}
+
+/// One `ph:"C"` counter-track sample named `name` with value `v`.
+fn sample(w: &mut Writer, at: (u32, u64, Time), name: &str, v: impl WriteJson) {
+    event(w, "C", at, |w| {
+        w.field("name", name).key("args").object(Tight, |w| {
+            w.field(name, v);
+        });
+    });
 }
 
 /// Render `events` as CSV (`time_ps,scope,component,name,track,kind,value,end_ps`).
@@ -461,6 +430,18 @@ mod tests {
             _ => d,
         });
         assert_eq!(depth, 0);
+    }
+
+    #[test]
+    fn non_finite_samples_keep_the_trace_valid_json() {
+        let (tel, sink) = crate::Telemetry::ring(16);
+        tel.gauge("spin", "dma_queue", 0, 1_000, f64::NAN);
+        tel.value("spin", "handler_ps", 0, 2_000, f64::INFINITY);
+        let json = chrome_trace_json(&sink.events());
+        let v = crate::json::Json::parse(&json).expect("trace must be JSON");
+        assert_eq!(v.as_arr().map(<[_]>::len), Some(3), "{json}");
+        assert!(json.contains(r#""args":{"dma_queue":0}"#), "{json}");
+        assert!(json.contains(r#""args":{"handler_ps":0}"#), "{json}");
     }
 
     #[test]

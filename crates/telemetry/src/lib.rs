@@ -32,6 +32,7 @@ pub mod aggregate;
 pub mod export;
 pub mod flight;
 pub mod hist;
+pub mod json;
 pub mod probe;
 pub mod report;
 pub mod ring;

@@ -1,6 +1,7 @@
 //! Machine-readable run reports: the JSON artifact one strategy sweep
-//! emits (`ncmt_cli --report-out`), plus a parser and a thresholded
-//! baseline diff (`ncmt_cli report-diff`).
+//! emits (`ncmt_cli --report-out`), the other document kinds (fault
+//! sweep, traffic, profile), and a thresholded baseline diff
+//! (`ncmt_cli report-diff`).
 //!
 //! This module is deliberately generic — it knows stage labels,
 //! histograms, and JSON, but nothing about the NIC model. The glue
@@ -8,17 +9,20 @@
 //! `nca-core::report`, keeping the dependency direction
 //! `core → telemetry`.
 //!
-//! Everything is hand-rendered/hand-parsed: the workspace builds
-//! offline, so no serde. The schema is documented in EXPERIMENTS.md;
-//! bump [`RunReportDoc::VERSION`] on breaking changes.
+//! Documents are rendered and parsed by [`crate::json`]; each one here
+//! states only its field order. The schema is documented in
+//! EXPERIMENTS.md; bump [`RunReportDoc::VERSION`] on breaking changes.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use crate::flight::Attribution;
 use crate::hist::LogHistogram;
+use crate::json::Layout::{Block, Line, Tight};
+use crate::json::{self, Json, WriteJson, Writer};
 use crate::streaming::StreamAggregate;
 use crate::Time;
+use crate::{json_fields, json_object};
 
 /// Summary form of a [`LogHistogram`] as serialized into a report.
 #[derive(Debug, Clone, PartialEq)]
@@ -291,244 +295,95 @@ impl RunReportDoc {
 
 // ---------------------------------------------------------------- JSON out
 
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn fmt_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "0".to_string() // NaN/inf are not JSON; reports treat them as absent
-    }
-}
-
 impl RunReportDoc {
     /// Render the report as pretty-printed JSON.
     pub fn to_json(&self) -> String {
-        let mut o = String::from("{\n");
-        let _ = writeln!(o, "  \"kind\": \"{}\",", Self::KIND);
-        let _ = writeln!(o, "  \"version\": {},", self.version);
-        let _ = writeln!(
-            o,
-            "  \"trace_dropped_events\": {},",
-            self.trace_dropped_events
-        );
-        let c = &self.config;
-        let _ = writeln!(o, "  \"config\": {{");
-        let _ = writeln!(o, "    \"datatype\": \"{}\",", esc(&c.datatype));
-        let _ = writeln!(o, "    \"msg_bytes\": {},", c.msg_bytes);
-        let _ = writeln!(o, "    \"npkt\": {},", c.npkt);
-        let _ = writeln!(o, "    \"gamma\": {},", fmt_f64(c.gamma));
-        let _ = writeln!(o, "    \"hpus\": {},", c.hpus);
-        let _ = writeln!(o, "    \"payload_size\": {},", c.payload_size);
-        let _ = writeln!(o, "    \"epsilon\": {},", fmt_f64(c.epsilon));
-        match c.out_of_order {
-            Some(seed) => {
-                let _ = writeln!(o, "    \"out_of_order\": {seed}");
-            }
-            None => {
-                let _ = writeln!(o, "    \"out_of_order\": null");
-            }
-        }
-        let _ = writeln!(o, "  }},");
-        let _ = writeln!(o, "  \"strategies\": [");
-        for (i, s) in self.strategies.iter().enumerate() {
-            let comma = if i + 1 < self.strategies.len() {
-                ","
-            } else {
-                ""
-            };
-            o.push_str(&strategy_json(s, "    "));
-            let _ = writeln!(o, "{comma}");
-        }
-        let _ = writeln!(o, "  ]");
-        o.push_str("}\n");
-        o
+        json::document(|w| {
+            w.field("kind", Self::KIND);
+            json_fields!(w, self; version, trace_dropped_events)
+                .key("config")
+                .object(Block, |w| {
+                    json_fields!(w, &self.config; datatype, msg_bytes, npkt, gamma, hpus,
+                        payload_size, epsilon, out_of_order);
+                })
+                .key("strategies")
+                .list(Block, &self.strategies);
+        })
     }
 }
 
-fn strategy_json(s: &StrategyReport, ind: &str) -> String {
-    let mut o = String::new();
-    let _ = writeln!(o, "{ind}{{");
-    let _ = writeln!(o, "{ind}  \"name\": \"{}\",", esc(&s.name));
-    let _ = writeln!(o, "{ind}  \"end_to_end_ps\": {},", s.end_to_end_ps);
-    let _ = writeln!(o, "{ind}  \"host_setup_ps\": {},", s.host_setup_ps);
-    let _ = writeln!(
-        o,
-        "{ind}  \"throughput_gbit\": {},",
-        fmt_f64(s.throughput_gbit)
-    );
-    let _ = writeln!(o, "{ind}  \"nic_mem_bytes\": {},", s.nic_mem_bytes);
-    let _ = writeln!(o, "{ind}  \"nic_mem_hwm_bytes\": {},", s.nic_mem_hwm_bytes);
-    let _ = writeln!(o, "{ind}  \"dma_writes\": {},", s.dma_writes);
-    let _ = writeln!(o, "{ind}  \"dma_bytes\": {},", s.dma_bytes);
-    let _ = writeln!(o, "{ind}  \"dma_max_queue\": {},", s.dma_max_queue);
-    let _ = writeln!(o, "{ind}  \"eager_fallback\": {},", s.eager_fallback);
-    let _ = writeln!(o, "{ind}  \"attribution\": {{");
-    for (i, (label, t)) in s.attribution.iter().enumerate() {
-        let comma = if i + 1 < s.attribution.len() { "," } else { "" };
-        let _ = writeln!(o, "{ind}    \"{label}_ps\": {t}{comma}");
+impl WriteJson for StrategyReport {
+    fn write_json(&self, w: &mut Writer) {
+        w.object(Block, |w| {
+            json_fields!(w, self; name, end_to_end_ps, host_setup_ps, throughput_gbit,
+                nic_mem_bytes, nic_mem_hwm_bytes, dma_writes, dma_bytes, dma_max_queue,
+                eager_fallback);
+            w.key("attribution").object(Block, |w| {
+                for (label, t) in &self.attribution {
+                    w.key_parts(&[label, "_ps"]).value(t);
+                }
+            });
+            w.field("attribution_sum_ps", self.attribution_sum());
+            json_fields!(w, self; hpu_busy_ps, hpu_utilization);
+            w.key("histograms").object(Block, |w| {
+                for (name, h) in &self.histograms {
+                    w.field(name, h);
+                }
+            });
+            json_fields!(w, self; utilization, faults, model);
+        });
     }
-    let _ = writeln!(o, "{ind}  }},");
-    let _ = writeln!(o, "{ind}  \"attribution_sum_ps\": {},", s.attribution_sum());
-    let _ = writeln!(o, "{ind}  \"hpu_busy_ps\": {},", s.hpu_busy_ps);
-    let _ = writeln!(
-        o,
-        "{ind}  \"hpu_utilization\": {},",
-        fmt_f64(s.hpu_utilization)
-    );
-    let _ = writeln!(o, "{ind}  \"histograms\": {{");
-    for (i, (name, h)) in s.histograms.iter().enumerate() {
-        let comma = if i + 1 < s.histograms.len() { "," } else { "" };
-        let _ = writeln!(o, "{ind}    \"{}\": {{", esc(name));
-        o.push_str(&hist_summary_members(h, &format!("{ind}      ")));
-        let _ = writeln!(o, "{ind}    }}{comma}");
-    }
-    let _ = writeln!(o, "{ind}  }},");
-    match &s.utilization {
-        None => {
-            let _ = writeln!(o, "{ind}  \"utilization\": null,");
-        }
-        Some(u) => {
-            let _ = writeln!(o, "{ind}  \"utilization\": {{");
-            let _ = writeln!(o, "{ind}    \"bucket_ps\": {},", u.bucket_ps);
-            let fracs: Vec<String> = u.hpu_busy_frac.iter().map(|&f| fmt_f64(f)).collect();
-            let _ = writeln!(o, "{ind}    \"hpu_busy_frac\": [{}],", fracs.join(","));
-            let _ = writeln!(
-                o,
-                "{ind}    \"peak_queue_depth\": {},",
-                fmt_f64(u.peak_queue_depth)
-            );
-            let chans: Vec<String> = u.dma_chan_occupancy.iter().map(|&f| fmt_f64(f)).collect();
-            let _ = writeln!(o, "{ind}    \"dma_chan_occupancy\": [{}]", chans.join(","));
-            let _ = writeln!(o, "{ind}  }},");
-        }
-    }
-    match &s.faults {
-        None => {
-            let _ = writeln!(o, "{ind}  \"faults\": null,");
-        }
-        Some(f) => {
-            let _ = writeln!(o, "{ind}  \"faults\": {},", fault_summary_json(f, ind));
-        }
-    }
-    match &s.model {
-        None => {
-            let _ = write!(o, "{ind}  \"model\": null");
-        }
-        Some(m) => {
-            let _ = writeln!(o, "{ind}  \"model\": {{");
-            let _ = writeln!(o, "{ind}    \"delta_r\": {},", m.delta_r);
-            let _ = writeln!(o, "{ind}    \"delta_p\": {},", m.delta_p);
-            let _ = writeln!(o, "{ind}    \"num_checkpoints\": {},", m.num_checkpoints);
-            let _ = writeln!(o, "{ind}    \"ckpt_nic_bytes\": {},", m.ckpt_nic_bytes);
-            let _ = writeln!(o, "{ind}    \"epsilon\": {},", fmt_f64(m.epsilon));
-            let _ = writeln!(
-                o,
-                "{ind}    \"planned_epsilon_violated\": {},",
-                m.planned_epsilon_violated
-            );
-            let _ = writeln!(
-                o,
-                "{ind}    \"t_ph_predicted_ps\": {},",
-                m.t_ph_predicted_ps
-            );
-            let _ = writeln!(
-                o,
-                "{ind}    \"t_ph_measured_ps\": {},",
-                fmt_f64(m.t_ph_measured_ps)
-            );
-            let _ = writeln!(o, "{ind}    \"sched_budget_ps\": {},", m.sched_budget_ps);
-            let _ = writeln!(
-                o,
-                "{ind}    \"sched_overhead_ps\": {},",
-                m.sched_overhead_ps
-            );
-            let _ = writeln!(o, "{ind}    \"epsilon_respected\": {}", m.epsilon_respected);
-            let _ = write!(o, "{ind}  }}");
-        }
-    }
-    let _ = writeln!(o);
-    let _ = write!(o, "{ind}}}");
-    o
 }
 
-/// Render the members of a [`HistSummary`] object, one per line at
-/// indentation `ind` (the caller writes the braces).
-fn hist_summary_members(h: &HistSummary, ind: &str) -> String {
-    let mut o = String::new();
-    let _ = writeln!(o, "{ind}\"count\": {},", h.count);
-    let _ = writeln!(o, "{ind}\"min\": {},", h.min);
-    let _ = writeln!(o, "{ind}\"max\": {},", h.max);
-    let _ = writeln!(o, "{ind}\"mean\": {},", fmt_f64(h.mean));
-    let _ = writeln!(o, "{ind}\"p50\": {},", h.p50);
-    let _ = writeln!(o, "{ind}\"p90\": {},", h.p90);
-    let _ = writeln!(o, "{ind}\"p99\": {},", h.p99);
-    let _ = writeln!(o, "{ind}\"p999\": {},", h.p999);
-    let buckets: Vec<String> = h
-        .buckets
-        .iter()
-        .map(|&(lo, c)| format!("[{lo},{c}]"))
-        .collect();
-    let _ = writeln!(o, "{ind}\"buckets\": [{}]", buckets.join(","));
-    o
+impl WriteJson for HistSummary {
+    fn write_json(&self, w: &mut Writer) {
+        w.object(Block, |w| {
+            json_fields!(w, self; count, min, max, mean, p50, p90, p99, p999)
+                .key("buckets")
+                .array(Tight, |w| {
+                    for &(lo, count) in &self.buckets {
+                        w.list(Tight, [lo, count]);
+                    }
+                });
+        });
+    }
 }
 
-/// Render a [`FaultSummary`] as a JSON object. `ind` is the indentation
-/// of the *containing* line; inner members indent two further spaces.
-fn fault_summary_json(f: &FaultSummary, ind: &str) -> String {
-    let mut o = String::new();
-    let _ = writeln!(o, "{{");
-    let _ = writeln!(o, "{ind}    \"transmissions\": {},", f.transmissions);
-    let _ = writeln!(o, "{ind}    \"retransmissions\": {},", f.retransmissions);
-    let _ = writeln!(o, "{ind}    \"drops_injected\": {},", f.drops_injected);
-    let _ = writeln!(o, "{ind}    \"dups_injected\": {},", f.dups_injected);
-    let _ = writeln!(o, "{ind}    \"dups_suppressed\": {},", f.dups_suppressed);
-    let _ = writeln!(
-        o,
-        "{ind}    \"corrupts_injected\": {},",
-        f.corrupts_injected
-    );
-    let _ = writeln!(
-        o,
-        "{ind}    \"corrupts_rejected\": {},",
-        f.corrupts_rejected
-    );
-    let _ = writeln!(o, "{ind}    \"acks_received\": {},", f.acks_received);
-    let _ = writeln!(
-        o,
-        "{ind}    \"host_fallback_packets\": {},",
-        f.host_fallback_packets
-    );
-    let _ = writeln!(o, "{ind}    \"nic_mem_fallback\": {},", f.nic_mem_fallback);
-    let _ = writeln!(
-        o,
-        "{ind}    \"delivered_exactly_once\": {},",
-        f.delivered_exactly_once
-    );
-    let _ = writeln!(
-        o,
-        "{ind}    \"checkpoint_reverts\": {},",
-        f.checkpoint_reverts
-    );
-    let _ = writeln!(o, "{ind}    \"catchup_blocks\": {}", f.catchup_blocks);
-    let _ = write!(o, "{ind}  }}");
-    o
+impl WriteJson for UtilizationReport {
+    fn write_json(&self, w: &mut Writer) {
+        w.object(Block, |w| {
+            w.field("bucket_ps", self.bucket_ps)
+                .key("hpu_busy_frac")
+                .list(Tight, &self.hpu_busy_frac)
+                .field("peak_queue_depth", self.peak_queue_depth)
+                .key("dma_chan_occupancy")
+                .list(Tight, &self.dma_chan_occupancy);
+        });
+    }
+}
+
+json_object!(ModelValidation; delta_r, delta_p, num_checkpoints, ckpt_nic_bytes, epsilon,
+    planned_epsilon_violated, t_ph_predicted_ps, t_ph_measured_ps, sched_budget_ps,
+    sched_overhead_ps, epsilon_respected);
+
+json_object!(FaultSummary; transmissions, retransmissions, drops_injected, dups_injected,
+    dups_suppressed, corrupts_injected, corrupts_rejected, acks_received,
+    host_fallback_packets, nic_mem_fallback, delivered_exactly_once, checkpoint_reverts,
+    catchup_blocks);
+
+json_object!(SweepCell; seed, scale, strategy, byte_exact, end_to_end_ps, faults);
+
+json_object!(TenantTrafficReport; tenant, offered, admitted, completed, dropped, retried,
+    lost, goodput_gbit, latency);
+
+impl WriteJson for TrafficCell {
+    fn write_json(&self, w: &mut Writer) {
+        w.object(Block, |w| {
+            json_fields!(w, self; app, discipline, offered_load, byte_exact, utilization)
+                .key("tenants")
+                .list(Block, &self.tenants);
+        });
+    }
 }
 
 // ------------------------------------------------------------- fault sweep
@@ -585,33 +440,13 @@ impl FaultSweepDoc {
 
     /// Render as pretty-printed JSON.
     pub fn to_json(&self) -> String {
-        let mut o = String::from("{\n");
-        let _ = writeln!(o, "  \"kind\": \"{}\",", Self::KIND);
-        let _ = writeln!(o, "  \"version\": {},", self.version);
-        let _ = writeln!(o, "  \"drop\": {},", fmt_f64(self.drop));
-        let _ = writeln!(o, "  \"duplicate\": {},", fmt_f64(self.duplicate));
-        let _ = writeln!(o, "  \"corrupt\": {},", fmt_f64(self.corrupt));
-        let _ = writeln!(o, "  \"reorder_ns\": {},", self.reorder_ns);
-        let _ = writeln!(o, "  \"all_byte_exact\": {},", self.all_byte_exact());
-        let _ = writeln!(o, "  \"cells\": [");
-        for (i, c) in self.cells.iter().enumerate() {
-            let comma = if i + 1 < self.cells.len() { "," } else { "" };
-            let _ = writeln!(o, "    {{");
-            let _ = writeln!(o, "      \"seed\": {},", c.seed);
-            let _ = writeln!(o, "      \"scale\": {},", fmt_f64(c.scale));
-            let _ = writeln!(o, "      \"strategy\": \"{}\",", esc(&c.strategy));
-            let _ = writeln!(o, "      \"byte_exact\": {},", c.byte_exact);
-            let _ = writeln!(o, "      \"end_to_end_ps\": {},", c.end_to_end_ps);
-            let _ = writeln!(
-                o,
-                "      \"faults\": {}",
-                fault_summary_json(&c.faults, "    ")
-            );
-            let _ = writeln!(o, "    }}{comma}");
-        }
-        let _ = writeln!(o, "  ]");
-        o.push_str("}\n");
-        o
+        json::document(|w| {
+            w.field("kind", Self::KIND);
+            json_fields!(w, self; version, drop, duplicate, corrupt, reorder_ns)
+                .field("all_byte_exact", self.all_byte_exact())
+                .key("cells")
+                .list(Block, &self.cells);
+        })
     }
 }
 
@@ -693,70 +528,13 @@ impl TrafficDoc {
 
     /// Render as pretty-printed JSON.
     pub fn to_json(&self) -> String {
-        let mut o = String::from("{\n");
-        let _ = writeln!(o, "  \"kind\": \"{}\",", Self::KIND);
-        let _ = writeln!(o, "  \"version\": {},", self.version);
-        let _ = writeln!(o, "  \"seed\": {},", self.seed);
-        let _ = writeln!(o, "  \"hpus\": {},", self.hpus);
-        let _ = writeln!(o, "  \"strategy\": \"{}\",", esc(&self.strategy));
-        let _ = writeln!(o, "  \"arrival\": \"{}\",", esc(&self.arrival));
-        let _ = writeln!(o, "  \"horizon_ps\": {},", self.horizon_ps);
-        let _ = writeln!(o, "  \"all_byte_exact\": {},", self.all_byte_exact());
-        let _ = writeln!(o, "  \"cells\": [");
-        for (i, c) in self.cells.iter().enumerate() {
-            let comma = if i + 1 < self.cells.len() { "," } else { "" };
-            let _ = writeln!(o, "    {{");
-            let _ = writeln!(o, "      \"app\": \"{}\",", esc(&c.app));
-            let _ = writeln!(o, "      \"discipline\": \"{}\",", esc(&c.discipline));
-            let _ = writeln!(o, "      \"offered_load\": {},", fmt_f64(c.offered_load));
-            let _ = writeln!(o, "      \"byte_exact\": {},", c.byte_exact);
-            match &c.utilization {
-                None => {
-                    let _ = writeln!(o, "      \"utilization\": null,");
-                }
-                Some(u) => {
-                    let _ = writeln!(o, "      \"utilization\": {{");
-                    let _ = writeln!(o, "        \"bucket_ps\": {},", u.bucket_ps);
-                    let fracs: Vec<String> = u.hpu_busy_frac.iter().map(|&f| fmt_f64(f)).collect();
-                    let _ = writeln!(o, "        \"hpu_busy_frac\": [{}],", fracs.join(","));
-                    let _ = writeln!(
-                        o,
-                        "        \"peak_queue_depth\": {},",
-                        fmt_f64(u.peak_queue_depth)
-                    );
-                    let chans: Vec<String> =
-                        u.dma_chan_occupancy.iter().map(|&f| fmt_f64(f)).collect();
-                    let _ = writeln!(o, "        \"dma_chan_occupancy\": [{}]", chans.join(","));
-                    let _ = writeln!(o, "      }},");
-                }
-            }
-            let _ = writeln!(o, "      \"tenants\": [");
-            for (j, t) in c.tenants.iter().enumerate() {
-                let tcomma = if j + 1 < c.tenants.len() { "," } else { "" };
-                let _ = writeln!(o, "        {{");
-                let _ = writeln!(o, "          \"tenant\": \"{}\",", esc(&t.tenant));
-                let _ = writeln!(o, "          \"offered\": {},", t.offered);
-                let _ = writeln!(o, "          \"admitted\": {},", t.admitted);
-                let _ = writeln!(o, "          \"completed\": {},", t.completed);
-                let _ = writeln!(o, "          \"dropped\": {},", t.dropped);
-                let _ = writeln!(o, "          \"retried\": {},", t.retried);
-                let _ = writeln!(o, "          \"lost\": {},", t.lost);
-                let _ = writeln!(
-                    o,
-                    "          \"goodput_gbit\": {},",
-                    fmt_f64(t.goodput_gbit)
-                );
-                let _ = writeln!(o, "          \"latency\": {{");
-                o.push_str(&hist_summary_members(&t.latency, "            "));
-                let _ = writeln!(o, "          }}");
-                let _ = writeln!(o, "        }}{tcomma}");
-            }
-            let _ = writeln!(o, "      ]");
-            let _ = writeln!(o, "    }}{comma}");
-        }
-        let _ = writeln!(o, "  ]");
-        o.push_str("}\n");
-        o
+        json::document(|w| {
+            w.field("kind", Self::KIND);
+            json_fields!(w, self; version, seed, hpus, strategy, arrival, horizon_ps)
+                .field("all_byte_exact", self.all_byte_exact())
+                .key("cells")
+                .list(Block, &self.cells);
+        })
     }
 }
 
@@ -838,267 +616,32 @@ impl ProfileDoc {
 
     /// Render as pretty-printed JSON.
     pub fn to_json(&self) -> String {
-        fn phase_members(o: &mut String, phases: &[ProfilePhase], ind: &str) {
-            for (i, p) in phases.iter().enumerate() {
-                let comma = if i + 1 < phases.len() { "," } else { "" };
-                let _ = writeln!(
-                    o,
-                    "{ind}\"{}\": {{\"ns\": {}, \"count\": {}}}{comma}",
-                    esc(&p.phase),
-                    p.ns,
-                    p.count
-                );
-            }
-        }
-        let mut o = String::from("{\n");
-        let _ = writeln!(o, "  \"kind\": \"{}\",", Self::KIND);
-        let _ = writeln!(o, "  \"version\": {},", self.version);
-        let _ = writeln!(o, "  \"command\": \"{}\",", esc(&self.command));
-        let _ = writeln!(o, "  \"wall_ns\": {},", self.wall_ns);
-        let _ = writeln!(o, "  \"attributed_ns\": {},", self.attributed_ns());
-        let _ = writeln!(o, "  \"other_ns\": {},", self.other_ns());
-        let _ = writeln!(o, "  \"totals\": {{");
-        phase_members(&mut o, &self.totals(), "    ");
-        let _ = writeln!(o, "  }},");
-        let _ = writeln!(o, "  \"workers\": [");
-        for (i, w) in self.workers.iter().enumerate() {
-            let comma = if i + 1 < self.workers.len() { "," } else { "" };
-            let _ = writeln!(o, "    {{");
-            let _ = writeln!(o, "      \"worker\": {},", w.worker);
-            let _ = writeln!(o, "      \"phases\": {{");
-            phase_members(&mut o, &w.phases, "        ");
-            let _ = writeln!(o, "      }}");
-            let _ = writeln!(o, "    }}{comma}");
-        }
-        let _ = writeln!(o, "  ]");
-        o.push_str("}\n");
-        o
-    }
-}
-
-// ---------------------------------------------------------------- JSON in
-
-/// A parsed JSON value (minimal recursive-descent parser; enough for
-/// report files — no serde offline).
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// Any number (f64; report integers stay exact below 2^53).
-    Num(f64),
-    /// String.
-    Str(String),
-    /// Array.
-    Arr(Vec<Json>),
-    /// Object, in source order.
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Parse `text`; `Err` carries a byte offset and message.
-    pub fn parse(text: &str) -> Result<Json, String> {
-        let b = text.as_bytes();
-        let mut pos = 0;
-        let v = parse_value(b, &mut pos)?;
-        skip_ws(b, &mut pos);
-        if pos != b.len() {
-            return Err(format!("trailing data at byte {pos}"));
-        }
-        Ok(v)
-    }
-
-    /// Object member by key.
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(members) => members.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// Walk a dotted path of object keys (`"model.sched_overhead_ps"`).
-    pub fn path(&self, path: &str) -> Option<&Json> {
-        let mut cur = self;
-        for key in path.split('.') {
-            cur = cur.get(key)?;
-        }
-        Some(cur)
-    }
-
-    /// The number, if this is one.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(v) => Some(*v),
-            _ => None,
-        }
-    }
-
-    /// The string, if this is one.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The array, if this is one.
-    pub fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(v) => Some(v),
-            _ => None,
-        }
-    }
-}
-
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
-    if *pos < b.len() && b[*pos] == c {
-        *pos += 1;
-        Ok(())
-    } else {
-        Err(format!("expected '{}' at byte {}", c as char, *pos))
-    }
-}
-
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
-    skip_ws(b, pos);
-    match b.get(*pos) {
-        None => Err("unexpected end of input".to_string()),
-        Some(b'{') => {
-            *pos += 1;
-            let mut members = Vec::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(Json::Obj(members));
-            }
-            loop {
-                skip_ws(b, pos);
-                let key = parse_string(b, pos)?;
-                skip_ws(b, pos);
-                expect(b, pos, b':')?;
-                let val = parse_value(b, pos)?;
-                members.push((key, val));
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(Json::Obj(members));
-                    }
-                    _ => return Err(format!("expected ',' or '}}' at byte {}", *pos)),
+        let phases = |w: &mut Writer, phases: &[ProfilePhase]| {
+            w.object(Block, |w| {
+                for p in phases {
+                    w.key(&p.phase).object(Line, |w| {
+                        json_fields!(w, p; ns, count);
+                    });
                 }
-            }
-        }
-        Some(b'[') => {
-            *pos += 1;
-            let mut items = Vec::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(Json::Arr(items));
-            }
-            loop {
-                items.push(parse_value(b, pos)?);
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(Json::Arr(items));
-                    }
-                    _ => return Err(format!("expected ',' or ']' at byte {}", *pos)),
+            });
+        };
+        json::document(|w| {
+            w.field("kind", Self::KIND);
+            json_fields!(w, self; version, command, wall_ns)
+                .field("attributed_ns", self.attributed_ns())
+                .field("other_ns", self.other_ns())
+                .key("totals");
+            phases(w, &self.totals());
+            w.key("workers").array(Block, |w| {
+                for wk in &self.workers {
+                    w.object(Block, |w| {
+                        w.field("worker", wk.worker).key("phases");
+                        phases(w, &wk.phases);
+                    });
                 }
-            }
-        }
-        Some(b'"') => Ok(Json::Str(parse_string(b, pos)?)),
-        Some(b't') if b[*pos..].starts_with(b"true") => {
-            *pos += 4;
-            Ok(Json::Bool(true))
-        }
-        Some(b'f') if b[*pos..].starts_with(b"false") => {
-            *pos += 5;
-            Ok(Json::Bool(false))
-        }
-        Some(b'n') if b[*pos..].starts_with(b"null") => {
-            *pos += 4;
-            Ok(Json::Null)
-        }
-        Some(_) => {
-            let start = *pos;
-            while *pos < b.len()
-                && matches!(b[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-            {
-                *pos += 1;
-            }
-            let s = std::str::from_utf8(&b[start..*pos]).map_err(|e| e.to_string())?;
-            s.parse::<f64>()
-                .map(Json::Num)
-                .map_err(|_| format!("bad number '{s}' at byte {start}"))
-        }
+            });
+        })
     }
-}
-
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
-    expect(b, pos, b'"')?;
-    let mut out = String::new();
-    while *pos < b.len() {
-        match b[*pos] {
-            b'"' => {
-                *pos += 1;
-                return Ok(out);
-            }
-            b'\\' => {
-                *pos += 1;
-                match b.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'u') => {
-                        let hex = b
-                            .get(*pos + 1..*pos + 5)
-                            .ok_or_else(|| "truncated \\u escape".to_string())?;
-                        let code = u32::from_str_radix(
-                            std::str::from_utf8(hex).map_err(|e| e.to_string())?,
-                            16,
-                        )
-                        .map_err(|e| e.to_string())?;
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        *pos += 4;
-                    }
-                    _ => return Err(format!("bad escape at byte {}", *pos)),
-                }
-                *pos += 1;
-            }
-            c => {
-                // Consume one UTF-8 scalar (multi-byte sequences pass through).
-                let s = &b[*pos..];
-                let ch_len = match c {
-                    0x00..=0x7f => 1,
-                    0xc0..=0xdf => 2,
-                    0xe0..=0xef => 3,
-                    _ => 4,
-                };
-                let chunk = s
-                    .get(..ch_len)
-                    .ok_or_else(|| "truncated UTF-8 in string".to_string())?;
-                out.push_str(std::str::from_utf8(chunk).map_err(|e| e.to_string())?);
-                *pos += ch_len;
-            }
-        }
-    }
-    Err("unterminated string".to_string())
 }
 
 // ---------------------------------------------------------------- diff
@@ -1532,20 +1075,6 @@ mod tests {
             cell.path("utilization.bucket_ps").and_then(Json::as_f64),
             Some(1_000_000.0)
         );
-    }
-
-    #[test]
-    fn parser_handles_escapes_nulls_and_rejects_garbage() {
-        let v = Json::parse(r#"{"a": "x\n\"y\"", "b": null, "c": [1, -2.5e1]}"#).unwrap();
-        assert_eq!(v.get("a").and_then(Json::as_str), Some("x\n\"y\""));
-        assert_eq!(v.get("b"), Some(&Json::Null));
-        assert_eq!(
-            v.path("c").and_then(Json::as_arr).unwrap()[1].as_f64(),
-            Some(-25.0)
-        );
-        assert!(Json::parse("{\"a\": }").is_err());
-        assert!(Json::parse("[1, 2").is_err());
-        assert!(Json::parse("{} trailing").is_err());
     }
 
     #[test]

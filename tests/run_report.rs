@@ -71,18 +71,18 @@ fn full_document_round_trips_with_the_rwcp_entry() {
         config: report_config(&exp),
         strategies: vec![rep],
     };
-    let v = ncmt::telemetry::report::Json::parse(&doc.to_json()).expect("own JSON parses");
+    let v = ncmt::telemetry::json::Json::parse(&doc.to_json()).expect("own JSON parses");
     let strat = &v
         .get("strategies")
-        .and_then(ncmt::telemetry::report::Json::as_arr)
+        .and_then(ncmt::telemetry::json::Json::as_arr)
         .unwrap()[0];
     assert_eq!(
         strat
             .path("attribution_sum_ps")
-            .and_then(ncmt::telemetry::report::Json::as_f64),
+            .and_then(ncmt::telemetry::json::Json::as_f64),
         strat
             .path("end_to_end_ps")
-            .and_then(ncmt::telemetry::report::Json::as_f64),
+            .and_then(ncmt::telemetry::json::Json::as_f64),
     );
     assert!(strat.path("model.epsilon_respected").is_some());
 }

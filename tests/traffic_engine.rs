@@ -6,7 +6,8 @@
 use ncmt::core::runner::Strategy;
 use ncmt::sim::Pool;
 use ncmt::spin::sched::QueueDiscipline;
-use ncmt::telemetry::report::{Json, TrafficDoc};
+use ncmt::telemetry::json::Json;
+use ncmt::telemetry::report::TrafficDoc;
 use ncmt::traffic::{run_traffic, traffic_sweep, ArrivalKind, TenantStats, TrafficSweepSpec};
 
 /// The spec behind `tests/golden/traffic_baseline.json`. Regenerate
