@@ -134,8 +134,12 @@ impl Pool {
                         let mut out: Vec<(usize, R)> = Vec::new();
                         loop {
                             // Own deque first (front), then steal from a
-                            // victim's back.
-                            let next = lock(&queues[w]).pop_front().or_else(|| {
+                            // victim's back. The own lock is released
+                            // before stealing: two workers that each held
+                            // their own while locking the other's would
+                            // deadlock.
+                            let own = lock(&queues[w]).pop_front();
+                            let next = own.or_else(|| {
                                 (1..workers)
                                     .map(|d| (w + d) % workers)
                                     .find_map(|v| lock(&queues[v]).pop_back())
@@ -184,6 +188,21 @@ impl Pool {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
+
+    #[test]
+    fn workers_stealing_from_each_other_never_deadlock() {
+        // Many tiny two-worker maps: both workers run dry and try to
+        // steal from each other at once. A hang is reported as a failure.
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            for _ in 0..20_000 {
+                Pool::new(2).par_map(vec![0u8; 2], |_, x| x);
+            }
+            let _ = tx.send(());
+        });
+        rx.recv_timeout(std::time::Duration::from_secs(60))
+            .expect("par_map deadlocked");
+    }
 
     #[test]
     fn results_keep_input_order_at_any_worker_count() {
