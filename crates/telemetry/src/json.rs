@@ -35,8 +35,12 @@ pub enum Layout {
 #[derive(Debug, Default)]
 pub struct Writer {
     out: String,
-    /// Open containers: their layout and whether a member was written.
-    open: Vec<(Layout, bool)>,
+    /// Layout of the innermost open container (`None` at the top level).
+    layout: Option<Layout>,
+    /// The innermost container has a member already.
+    started: bool,
+    /// How many containers are open.
+    depth: usize,
     /// A key was just written, so the next value needs no separator.
     after_key: bool,
 }
@@ -66,7 +70,7 @@ impl Writer {
 
     /// End the document with a newline and return it.
     pub fn finish(mut self) -> String {
-        debug_assert!(self.open.is_empty(), "unclosed JSON container");
+        debug_assert_eq!(self.depth, 0, "unclosed JSON container");
         self.out.push('\n');
         self.out
     }
@@ -76,25 +80,24 @@ impl Writer {
         if std::mem::take(&mut self.after_key) {
             return;
         }
-        let depth = self.open.len();
-        let Some((layout, started)) = self.open.last_mut() else {
+        let Some(layout) = self.layout else {
             return;
         };
-        let (layout, first) = (*layout, !std::mem::replace(started, true));
+        let first = !std::mem::replace(&mut self.started, true);
         if !first {
             let spaced = matches!(layout, Layout::Line | Layout::Spaced);
             self.out.push_str(if spaced { ", " } else { "," });
         }
-        self.line_break(layout, depth, first);
+        self.line_break(layout, first);
     }
 
     /// What follows an opening bracket or a comma (`pad`: the container
-    /// is non-empty), or precedes a closing bracket at `depth`.
-    fn line_break(&mut self, layout: Layout, depth: usize, pad: bool) {
+    /// is non-empty), or precedes a closing bracket.
+    fn line_break(&mut self, layout: Layout, pad: bool) {
         match layout {
             Layout::Block => {
                 self.out.push('\n');
-                self.out.extend(std::iter::repeat_n(' ', 2 * depth));
+                self.out.extend(std::iter::repeat_n(' ', 2 * self.depth));
             }
             Layout::Rows => self.out.push('\n'),
             Layout::Spaced if pad => self.out.push(' '),
@@ -105,10 +108,14 @@ impl Writer {
     fn container(&mut self, layout: Layout, brackets: [char; 2], body: impl FnOnce(&mut Self)) {
         self.member();
         self.out.push(brackets[0]);
-        self.open.push((layout, false));
+        let parent = self.layout.replace(layout);
+        let parent_started = std::mem::replace(&mut self.started, false);
+        self.depth += 1;
         body(self);
-        let (layout, started) = self.open.pop().expect("balanced by construction");
-        self.line_break(layout, self.open.len(), started);
+        self.depth -= 1;
+        let started = std::mem::replace(&mut self.started, parent_started);
+        self.layout = parent;
+        self.line_break(layout, started);
         self.out.push(brackets[1]);
     }
 
@@ -144,7 +151,7 @@ impl Writer {
         self.member();
         self.out.push('"');
         parts.iter().for_each(|p| escape_into(&mut self.out, p));
-        let tight = matches!(self.open.last(), Some((Layout::Tight, _)));
+        let tight = self.layout == Some(Layout::Tight);
         self.out.push_str(if tight { "\":" } else { "\": " });
         self.after_key = true;
         self
@@ -212,26 +219,25 @@ macro_rules! json_object {
 /// Append `s` with JSON string escaping: quote, backslash, `\n`, `\t`,
 /// `\r`, other control characters as `\u00XX`; everything else verbatim.
 fn escape_into(out: &mut String, s: &str) {
-    let mut start = 0;
-    for (i, b) in s.bytes().enumerate() {
-        let short = match b {
-            b'"' => "\\\"",
-            b'\\' => "\\\\",
-            b'\n' => "\\n",
-            b'\t' => "\\t",
-            b'\r' => "\\r",
-            0..=0x1f => "",
-            _ => continue,
-        };
-        out.push_str(&s[start..i]);
-        if short.is_empty() {
-            let _ = write!(out, "\\u{b:04x}");
-        } else {
-            out.push_str(short);
+    let mut rest = s;
+    while let Some(i) = rest
+        .bytes()
+        .position(|b| b < 0x20 || b == b'"' || b == b'\\')
+    {
+        out.push_str(&rest[..i]);
+        match rest.as_bytes()[i] {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\t' => out.push_str("\\t"),
+            b'\r' => out.push_str("\\r"),
+            b => {
+                let _ = write!(out, "\\u{b:04x}");
+            }
         }
-        start = i + 1;
+        rest = &rest[i + 1..];
     }
-    out.push_str(&s[start..]);
+    out.push_str(rest);
 }
 
 impl WriteJson for str {
