@@ -64,7 +64,7 @@ pub fn chrome_trace_json_with_aggregates(
         });
     }
 
-    let mut w = Writer::with_capacity(128 * events.len());
+    let mut w = Writer::default();
     w.array(Rows, |w| {
         for (i, (scope, component)) in processes.iter().enumerate() {
             let name = if scope.is_empty() {

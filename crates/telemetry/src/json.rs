@@ -60,14 +60,6 @@ pub fn document(body: impl FnOnce(&mut Writer)) -> String {
 }
 
 impl Writer {
-    /// An empty writer with room for `bytes` of output.
-    pub fn with_capacity(bytes: usize) -> Writer {
-        Writer {
-            out: String::with_capacity(bytes),
-            ..Writer::default()
-        }
-    }
-
     /// End the document with a newline and return it.
     pub fn finish(mut self) -> String {
         debug_assert_eq!(self.depth, 0, "unclosed JSON container");
@@ -85,8 +77,10 @@ impl Writer {
         };
         let first = !std::mem::replace(&mut self.started, true);
         if !first {
-            let spaced = matches!(layout, Layout::Line | Layout::Spaced);
-            self.out.push_str(if spaced { ", " } else { "," });
+            self.out.push(',');
+            if matches!(layout, Layout::Line | Layout::Spaced) {
+                self.out.push(' ');
+            }
         }
         self.line_break(layout, first);
     }
@@ -151,8 +145,11 @@ impl Writer {
         self.member();
         self.out.push('"');
         parts.iter().for_each(|p| escape_into(&mut self.out, p));
-        let tight = self.layout == Some(Layout::Tight);
-        self.out.push_str(if tight { "\":" } else { "\": " });
+        self.out.push('"');
+        self.out.push(':');
+        if self.layout != Some(Layout::Tight) {
+            self.out.push(' ');
+        }
         self.after_key = true;
         self
     }
